@@ -176,10 +176,6 @@ def im_w3(phi: float, gstar: float) -> float:
     return g * math.sin(phi) * (4.0 * g * g * c * c - 6.0 * g * c + 3.0 - g * g)
 
 
-def _w3(phi: float, gstar: float) -> complex:
-    return (1.0 - gstar * cmath.exp(-1j * phi)) ** 3
-
-
 def shear_regime(gstar: float) -> str:
     g2 = gstar * gstar
     if g2 < 0.75:

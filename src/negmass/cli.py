@@ -22,51 +22,47 @@ from .errors import DomainError, NonConvergenceError, NumericalError, Validation
 from .svgplot import Series, emit_svg
 from .tableio import write_csv
 
-_FLOAT = float
-_INT = int
-_STR = str
-
 REQUIRED = object()  # default marker: flag must be supplied (CLI or config)
 OPTIONAL = object()  # default marker: flag may stay unset
 
 _COMMON_PROFILE = {
-    "profile": (_STR, REQUIRED),
-    "mass": (_FLOAT, -1.0),
-    "k": (_FLOAT, OPTIONAL),
-    "p": (_FLOAT, OPTIONAL),
-    "file": (_STR, OPTIONAL),
+    "profile": (str, REQUIRED),
+    "mass": (float, -1.0),
+    "k": (float, OPTIONAL),
+    "p": (float, OPTIONAL),
+    "file": (str, OPTIONAL),
 }
 
 _SPECS: dict[str, dict[str, tuple]] = {
     "lens-images": {
-        "m": (_FLOAT, REQUIRED), "kappa": (_FLOAT, 0.0), "gamma": (_FLOAT, 0.0),
-        "theta": (_FLOAT, 0.0), "y": (_STR, REQUIRED),
+        "m": (float, REQUIRED), "kappa": (float, 0.0), "gamma": (float, 0.0),
+        "theta": (float, 0.0), "y": (str, REQUIRED),
     },
     "lens-lightcurve": {
-        "m": (_FLOAT, REQUIRED), "d": (_FLOAT, REQUIRED), "t0": (_FLOAT, -5.0),
-        "t1": (_FLOAT, 5.0), "n": (_INT, 101),
+        "m": (float, REQUIRED), "d": (float, REQUIRED), "t0": (float, -5.0),
+        "t1": (float, 5.0), "n": (int, 101),
     },
     "lens-critical": {
-        "m": (_FLOAT, REQUIRED), "kappa": (_FLOAT, 0.0), "gamma": (_FLOAT, 0.0),
-        "samples": (_INT, 720),
+        "m": (float, REQUIRED), "kappa": (float, 0.0), "gamma": (float, 0.0),
+        "samples": (int, 720),
     },
     "lens-caustics": {
-        "m": (_FLOAT, REQUIRED), "kappa": (_FLOAT, 0.0), "gamma": (_FLOAT, 0.0),
-        "samples": (_INT, 720),
+        "m": (float, REQUIRED), "kappa": (float, 0.0), "gamma": (float, 0.0),
+        "samples": (int, 720),
     },
     "lens-cusps": {
-        "m": (_FLOAT, REQUIRED), "kappa": (_FLOAT, 0.0), "gamma": (_FLOAT, 0.0),
+        "m": (float, REQUIRED), "kappa": (float, 0.0), "gamma": (float, 0.0),
     },
     "lens-survey": {
-        "m": (_FLOAT, REQUIRED), "kappa": (_FLOAT, 0.0), "gamma": (_FLOAT, 0.0),
-        "y": (_STR, "-4,4"), "n": (_INT, 41), "samples": (_INT, 8192),
+        "m": (float, REQUIRED), "kappa": (float, 0.0), "gamma": (float, 0.0),
+        "y": (str, "-4,4"), "n": (int, 41), "samples": (int, 8192),
     },
-    "spherical-report": {**_COMMON_PROFILE, "r0": (_FLOAT, 1.0)},
-    "imcf-flow": {**_COMMON_PROFILE, "r0": (_FLOAT, REQUIRED),
-                  "t-end": (_FLOAT, REQUIRED)},
+    "spherical-report": {**_COMMON_PROFILE, "r0": (float, 1.0)},
+    "imcf-flow": {**_COMMON_PROFILE, "r0": (float, REQUIRED),
+                  "t-end": (float, REQUIRED)},
     "weyl-zv": {
-        "m": (_FLOAT, REQUIRED), "a": (_FLOAT, 1.0), "radius": (_FLOAT, 5.0),
-        "rho": (_FLOAT, 1e-3),
+        "m": (float, REQUIRED), "a": (float, 1.0), "radius": (float, 5.0),
+        "rho": (float, 1e-3),
     },
 }
 
@@ -109,7 +105,7 @@ def _merge_config(args, command: str):
     if args.config is None:
         return
     spec = _SPECS[command]
-    allowed = {**spec, "out": (_STR, None), "svg": (_STR, None)}
+    allowed = {**spec, "out": (str, None), "svg": (str, None)}
     for key, raw in _load_config(args.config).items():
         if key not in allowed:
             raise ValidationError(f"unknown config key {key!r} for {command}")
@@ -311,8 +307,7 @@ def _cmd_spherical_report(args):
     write_csv(args.out, ["quantity", "value"], rows)
     if args.svg:
         rs = np.geomspace(max(profile.r_min * 1.01, 1e-3), 100.0, 200)
-        emit_svg([Series(list(rs),
-                         [sph.hawking_mass_sphere(profile, r) for r in rs],
+        emit_svg([Series(rs.tolist(), sph.hawking_mass_sphere(profile, rs).tolist(),
                          label="m_H(r)")],
                  args.svg, title="Hawking mass", x_label="r", y_label="m_H")
 

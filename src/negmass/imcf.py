@@ -24,8 +24,7 @@ from dataclasses import dataclass
 from scipy.integrate import solve_ivp
 
 from .errors import DomainError, NumericalError
-from .spherical import (RadialProfile, hawking_mass_sphere, mean_curvature,
-                        radial_capacity, scalar_curvature)
+from .spherical import RadialProfile, hawking_mass_sphere, radial_capacity, scalar_curvature
 
 GEROCH_TOL = 1e-8  # absolute slack absorbing integrator noise
 
@@ -79,7 +78,8 @@ def imcf_flow(profile: RadialProfile, r0: float, t_end: float,
         raise DomainError("t_end must be positive")
 
     def rhs(t, y):
-        return [profile.area(y[0]) / profile.d_area(y[0])]
+        A, Ap, _ = profile.eval(y[0])
+        return [A / Ap]
 
     def horizon(t, y):
         return profile.d_area(y[0])
@@ -91,33 +91,29 @@ def imcf_flow(profile: RadialProfile, r0: float, t_end: float,
                     rtol=1e-9, atol=1e-12, first_step=dt, events=horizon,
                     dense_output=False)
     halted = sol.status == 1
+    rs = sol.y[0]
+    areas, d_areas, _ = profile.eval(rs)
+    H = d_areas / areas
     if not sol.success and not halted:
         # the flow speed 1/H blows up on approach to a horizon, which can
         # underflow the step size before the A' = 0 event fires; a stall
         # with collapsing mean curvature is the same classical breakdown
-        stalled_H = profile.d_area(sol.y[0][-1]) / profile.area(sol.y[0][-1])
-        start_H = profile.d_area(r0) / profile.area(r0)
-        if stalled_H < 1e-5 * start_H:
+        if H[-1] < 1e-5 * H[0]:
             halted = True
         else:
             raise NumericalError(f"flow integration failed: {sol.message}")
-    states = []
-    for t, r in zip(sol.t, sol.y[0]):
-        states.append(FlowState(float(t), float(r), profile.area(r),
-                                hawking_mass_sphere(profile, r),
-                                mean_curvature(profile, r)))
-    trace = FlowTrace(tuple(states), halted_at_horizon=halted)
-    return FlowTrace(trace.states, tuple(_violations(trace, profile)), halted)
+    hawking = hawking_mass_sphere(profile, rs)
+    states = tuple(FlowState(*vals) for vals in
+                   zip(sol.t.tolist(), rs.tolist(), areas.tolist(), hawking.tolist(),
+                       H.tolist()))
+    return FlowTrace(states, tuple(_decreases(states, profile, GEROCH_TOL)), halted)
 
 
-def _violations(trace: FlowTrace, profile: RadialProfile):
-    out = []
-    for prev, cur in zip(trace.states[:-1], trace.states[1:]):
+def _decreases(states, profile: RadialProfile, tol: float):
+    for prev, cur in zip(states[:-1], states[1:]):
         dm = cur.hawking - prev.hawking
-        if dm < -GEROCH_TOL:
-            out.append(GerochViolation(cur.t, dm,
-                                       scalar_curvature(profile, cur.r)))
-    return out
+        if dm < -tol:
+            yield GerochViolation(cur.t, dm, scalar_curvature(profile, cur.r))
 
 
 def geroch_report(trace: FlowTrace, profile: RadialProfile,
@@ -130,12 +126,7 @@ def geroch_report(trace: FlowTrace, profile: RadialProfile,
     """
     if not trace.states:
         raise DomainError("empty flow trace")
-    out = []
-    for prev, cur in zip(trace.states[:-1], trace.states[1:]):
-        dm = cur.hawking - prev.hawking
-        if dm < -tol:
-            out.append(GerochViolation(cur.t, dm, scalar_curvature(profile, cur.r)))
-    return out
+    return list(_decreases(trace.states, profile, tol))
 
 
 def capacity_energy_bound(area0: float, m0: float) -> float:

@@ -12,22 +12,56 @@ module computes is a functional of A and its first two derivatives:
     mass at the center m_R = -lim_{r->0} A'^2 / (64 pi^{3/2} sqrt(A))
     capacity function  f(r) = 4 pi int_r^inf ds / A(s),  C(S_r) = 1/f(r)
 
-The ADM mass is the large-r limit of the coordinate-sphere Hawking
-masses, extracted by Richardson extrapolation.
+Every profile implements one method, ``eval(r)``.  It takes a float or
+an array of radii and returns the triple (A, A', A''): floats for a
+float, arrays shaped like r otherwise.
+
+    A, dA, d2A = profile.eval(np.geomspace(1e-3, 1e3, 200))
+
+``area``, ``d_area`` and ``d2_area`` are one-line accessors on the base
+class.  The pointwise functionals make one ``eval`` call and accept
+arrays as well.  The ADM mass is the large-r limit of the
+coordinate-sphere Hawking masses, extracted by Richardson extrapolation.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import legint, legvander
 
 from .errors import DomainError, NonConvergenceError, NumericalError, ValidationError
-from .numerics import gauss_panel, limit_smallstep, richardson_decay, tail_integral
+from .numerics import gauss_nodes, limit_smallstep, richardson_decay, tail_integral
 
 FOUR_PI = 4.0 * math.pi
 MINUS_INFINITY = -math.inf
+
+
+def _like(r: np.ndarray, *vals):
+    """vals as Python floats when r is 0-d, else unchanged."""
+    return tuple(float(v) for v in vals) if r.ndim == 0 else vals
+
+
+def _newton(fun, x, lo, hi):
+    """Elementwise root of an increasing fun on arrays, bracketed by 0 < lo <= x <= hi.
+
+    fun(x) returns (value, slope).  A Newton step that leaves the bracket
+    is replaced by bisection.  Stops once every step is below 1e-9 of x:
+    quadratic convergence then leaves the result at rounding level.
+    """
+    for _ in range(60):
+        val, slope = fun(x)
+        lo = np.where(val < 0.0, x, lo)
+        hi = np.where(val > 0.0, x, hi)
+        new = x - val / slope
+        new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
+        if (np.abs(new - x) <= 1e-9 * new).all():
+            return new
+        x = new
+    raise NonConvergenceError("safeguarded Newton iteration did not converge")
 
 
 class RadialProfile:
@@ -39,20 +73,25 @@ class RadialProfile:
         self.r_min = float(r_min)
         self.r_max = float(r_max)
 
-    def area(self, r: float) -> float:
+    def eval(self, r):
+        """(A, A', A'') at r: floats for a float r, arrays shaped like r otherwise."""
         raise NotImplementedError
 
-    def d_area(self, r: float) -> float:
-        raise NotImplementedError
+    def area(self, r):
+        return self.eval(r)[0]
 
-    def d2_area(self, r: float) -> float:
-        raise NotImplementedError
+    def d_area(self, r):
+        return self.eval(r)[1]
 
-    def _check(self, r: float) -> float:
-        r = float(r)
-        if not (self.r_min < r < self.r_max):
-            raise DomainError(
-                f"r = {r} outside the open domain ({self.r_min}, {self.r_max})")
+    def d2_area(self, r):
+        return self.eval(r)[2]
+
+    def _check(self, r) -> np.ndarray:
+        r = np.asarray(r, dtype=float)
+        bad = ~((self.r_min < r) & (r < self.r_max))
+        if bad.any():
+            raise DomainError(f"r = {r[bad].flat[0]} outside the open domain "
+                              f"({self.r_min}, {self.r_max})")
         return r
 
     def __repr__(self):
@@ -67,34 +106,75 @@ class FlatProfile(RadialProfile):
     def __init__(self):
         super().__init__(0.0, math.inf)
 
-    def area(self, r):
+    def eval(self, r):
         r = self._check(r)
-        return FOUR_PI * r * r
+        return _like(r, FOUR_PI * r * r, 2.0 * FOUR_PI * r, np.full_like(r, 2.0 * FOUR_PI))
 
-    def d_area(self, r):
-        r = self._check(r)
-        return 2.0 * FOUR_PI * r
 
-    def d2_area(self, r):
-        self._check(r)
-        return 2.0 * FOUR_PI
+# s/R0 = sum_j 4 (2j/(2j+1)) w^(2j+1) for m < 0: the first 12 terms, in w^2
+_NEG_SERIES = np.array([0.0] + [2.0 * j / (2.0 * j + 1.0) for j in range(1, 13)])
+
+
+def _chart_arclength(m: float, x: np.ndarray) -> np.ndarray:
+    """Arclength over R0 of the conformal Schwarzschild chart at x = (R - R0)/R0.
+
+    s/R0 = x + x/(1+x) + 2 sign(m) log(1+x).  For m < 0 the terms cancel
+    to x^3/3 near the singularity, so below x = 1/2 the same function is
+    summed as 4 (w/(1-w^2) - atanh w), w = x/(2+x), whose series in w
+    has positive terms only.
+    """
+    if m > 0:
+        return x + x / (1.0 + x) + 2.0 * np.log1p(x)
+    w = x / (2.0 + x)
+    w2 = w * w
+    series = _NEG_SERIES[-1]
+    for c in _NEG_SERIES[-2::-1]:
+        series = series * w2 + c
+    return np.where(x < 0.5, 4.0 * w * series,
+                    x + x / (1.0 + x) - 2.0 * np.log1p(x))
+
+
+def _chart_offset(m: float, rho: np.ndarray) -> np.ndarray:
+    """x = (R - R0)/R0 of the sphere at arclength r = rho R0, R0 = |m|/2.
+
+    The brackets: for m < 0, x^3/3 >= s/R0 and x - 2 sqrt(x) <= s/R0 <= x;
+    for m > 0, x <= s/R0 <= 4x.
+    """
+    if m < 0:
+        y = np.cbrt(3.0 * rho)
+        lo = np.maximum(y, rho)
+        hi = (1.0 + np.sqrt(1.0 + rho)) ** 2
+        # s/R0 = x^3/3 - x^4/2 + ... near 0 and x + 1 - 2 log x + ... far out
+        start = np.clip(np.maximum(y + 0.5 * y * y, rho - 1.0 + 2.0 * np.log1p(rho)), lo, hi)
+    else:
+        lo, hi = 0.25 * rho, rho
+        start = lo
+
+    def residual(x):
+        phi = (x if m < 0 else x + 2.0) / (1.0 + x)
+        return _chart_arclength(m, x) - rho, phi * phi
+
+    return _newton(residual, start, lo, hi)
 
 
 class ConformalSchwarzschildProfile(RadialProfile):
     """Conformally flat slice g = (1 + m/2R)^4 delta, either mass sign.
 
-    The conformal chart runs over R in (|m|/2, inf): for m < 0 the lower
-    end is the point singularity, for m > 0 the horizon.  The arclength
-    from that end has the closed antiderivative
+    The conformal chart runs over R in (R0, inf), R0 = |m|/2: for m < 0
+    the lower end is the point singularity, for m > 0 the horizon.  The
+    arclength from that end has the closed antiderivative
 
-        s(R) = (R - R0) + m log(R/R0) + (m^2/4)(1/R0 - 1/R),  R0 = |m|/2,
+        s(R) = (R - R0) + m log(R/R0) + (m^2/4)(1/R0 - 1/R),
 
-    inverted per call by a bracketed Newton iteration; the accessors are
-    then exact in the chart variable:
+    inverted for all radii at once by safeguarded Newton in
+    x = (R - R0)/R0, so that R - R0 keeps its relative accuracy down to
+    the singularity.  With phi = 1 + m/2R, which is R0 x/R for m < 0 and
+    R0 (x + 2)/R for m > 0, the area and its derivatives are exact in
+    the chart variable:
 
-        A   = 4 pi R^2 (1 + m/2R)^4
-        A'  = 8 pi (1 + m/2R) (R - m/2)
-        A'' = 8 pi (1 + m^2/(4R^2)) / (1 + m/2R)^2.
+        A   = 4 pi R^2 phi^4
+        A'  = 8 pi phi (R - m/2) = 8 pi R0^2 x (x + 2) / R
+        A'' = 8 pi (1 + m^2/(4R^2)) / phi^2.
 
     Coordinate spheres have Hawking mass identically m, and the radial
     capacity function is exactly 1/(R + m/2).
@@ -109,78 +189,20 @@ class ConformalSchwarzschildProfile(RadialProfile):
         self.m = float(m)
         self.chart_min = 0.5 * abs(self.m)
 
-    def _arclength(self, R: float) -> float:
-        R0 = self.chart_min
-        d = R - R0
-        return d + self.m * math.log1p(d / R0) + 0.25 * self.m * self.m * d / (R * R0)
-
-    def chart_radius(self, r: float) -> float:
-        """Invert s(R) = r by Newton with a bisection safeguard."""
+    def eval(self, r):
         r = self._check(r)
         R0 = self.chart_min
-        lo = R0
-        hi = R0 + r + 4.0 * abs(self.m) + 1.0
-        while self._arclength(hi) < r:
-            hi *= 2.0
-        if self.m < 0:
-            # near the singularity s ~ 4 d^3 / (3 m^2)
-            R = R0 + min((0.75 * self.m * self.m * r) ** (1.0 / 3.0), hi - R0)
-        else:
-            R = min(R0 + r, hi)
-        R = max(R, R0 * (1.0 + 1e-300))
-        for _ in range(200):
-            f = self._arclength(R) - r
-            if f > 0:
-                hi = R
-            else:
-                lo = R
-            phi = 1.0 + self.m / (2.0 * R)
-            R_new = R - f / (phi * phi) if phi != 0.0 else 0.5 * (lo + hi)
-            if not (lo < R_new < hi):
-                R_new = 0.5 * (lo + hi)
-            if abs(R_new - R) <= 1e-16 * max(1.0, R):
-                return R_new
-            R = R_new
-        return R
-
-    def area(self, r):
-        R = self.chart_radius(r)
-        phi = 1.0 + self.m / (2.0 * R)
-        return FOUR_PI * R * R * phi ** 4
-
-    def d_area(self, r):
-        R = self.chart_radius(r)
-        phi = 1.0 + self.m / (2.0 * R)
-        return 8.0 * math.pi * phi * (R - 0.5 * self.m)
-
-    def d2_area(self, r):
-        R = self.chart_radius(r)
-        phi = 1.0 + self.m / (2.0 * R)
-        return 8.0 * math.pi * (1.0 + self.m * self.m / (4.0 * R * R)) / (phi * phi)
+        x = _chart_offset(self.m, r / R0)
+        R = R0 * (1.0 + x)
+        phi = (x if self.m < 0 else x + 2.0) / (1.0 + x)
+        return _like(r, FOUR_PI * R * R * phi ** 4,
+                     2.0 * FOUR_PI * R0 * x * (x + 2.0) / (1.0 + x),
+                     2.0 * FOUR_PI * (1.0 + (R0 / R) ** 2) / (phi * phi))
 
     def capacity_exact(self, r: float) -> float:
-        """Closed-form capacity of the sphere at arclength r (test oracle)."""
-        return self.chart_radius(r) + 0.5 * self.m
-
-
-def _smoothstep(t: float) -> float:
-    if t <= 0.0:
-        return 0.0
-    if t >= 1.0:
-        return 1.0
-    return t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
-
-
-def _d_smoothstep(t: float) -> float:
-    if t <= 0.0 or t >= 1.0:
-        return 0.0
-    return 30.0 * t * t * (1.0 - t) ** 2
-
-
-def _d2_smoothstep(t: float) -> float:
-    if t <= 0.0 or t >= 1.0:
-        return 0.0
-    return 60.0 * t * (1.0 - 3.0 * t + 2.0 * t * t)
+        """Closed-form capacity R + m/2 of the sphere at arclength r (test oracle)."""
+        x = _chart_offset(self.m, self._check(r) / self.chart_min)
+        return float(self.chart_min * (x if self.m < 0 else x + 2.0))
 
 
 class PowerLawProfile(RadialProfile):
@@ -206,47 +228,20 @@ class PowerLawProfile(RadialProfile):
         else:
             self.r_glue = (self.k / FOUR_PI) ** (1.0 / (2.0 - self.p))
 
-    def _head(self, r):
-        return (self.k * r ** self.p,
-                self.k * self.p * r ** (self.p - 1.0),
-                self.k * self.p * (self.p - 1.0) * r ** (self.p - 2.0))
-
-    def area(self, r):
+    def eval(self, r):
         r = self._check(r)
-        h, _, _ = self._head(r)
-        if r <= self.r_glue:
-            return h
-        if r >= 2.0 * self.r_glue:
-            return FOUR_PI * r * r
-        w = _smoothstep(r / self.r_glue - 1.0)
-        return h + w * (FOUR_PI * r * r - h)
-
-    def d_area(self, r):
-        r = self._check(r)
-        h, dh, _ = self._head(r)
-        if r <= self.r_glue:
-            return dh
-        if r >= 2.0 * self.r_glue:
-            return 2.0 * FOUR_PI * r
-        t = r / self.r_glue - 1.0
-        w, dw = _smoothstep(t), _d_smoothstep(t) / self.r_glue
-        return dh + dw * (FOUR_PI * r * r - h) + w * (2.0 * FOUR_PI * r - dh)
-
-    def d2_area(self, r):
-        r = self._check(r)
-        h, dh, d2h = self._head(r)
-        if r <= self.r_glue:
-            return d2h
-        if r >= 2.0 * self.r_glue:
-            return 2.0 * FOUR_PI
-        t = r / self.r_glue - 1.0
-        w = _smoothstep(t)
-        dw = _d_smoothstep(t) / self.r_glue
-        d2w = _d2_smoothstep(t) / self.r_glue ** 2
-        diff = FOUR_PI * r * r - h
-        d_diff = 2.0 * FOUR_PI * r - dh
-        d2_diff = 2.0 * FOUR_PI - d2h
-        return d2h + d2w * diff + 2.0 * dw * d_diff + w * d2_diff
+        k, p, g = self.k, self.p, self.r_glue
+        t = np.clip(r / g - 1.0, 0.0, 1.0)
+        w, dw, d2w = (t ** 3 * (10.0 + t * (-15.0 + 6.0 * t)),
+                      30.0 * t * t * (1.0 - t) ** 2 / g,
+                      60.0 * t * (1.0 - 3.0 * t + 2.0 * t * t) / g ** 2)
+        head = np.array([k * r ** p, k * p * r ** (p - 1.0),
+                         k * p * (p - 1.0) * r ** (p - 2.0)])
+        flat = np.array([FOUR_PI * r * r, 2.0 * FOUR_PI * r, np.full_like(r, 2.0 * FOUR_PI)])
+        d0, d1, d2 = flat - head
+        blend = head + np.array([w * d0, dw * d0 + w * d1, d2w * d0 + 2.0 * dw * d1 + w * d2])
+        A, dA, d2A = np.where(r <= g, head, np.where(r >= 2.0 * g, flat, blend))
+        return _like(r, A, dA, d2A)
 
     def head_capacity_integral(self, r: float) -> float:
         """Exact int_0^r ds/(k s^p) on the power-law head (needs p < 1)."""
@@ -256,22 +251,22 @@ class PowerLawProfile(RadialProfile):
 
 
 class CustomProfile(RadialProfile):
-    """Profile from explicit area callables (synthetic test metrics)."""
+    """Profile from explicit area callables (synthetic test metrics).
+
+    The callables take one float each; ``eval`` applies them radius by
+    radius.
+    """
 
     kind = "custom"
 
     def __init__(self, area, d_area, d2_area, r_min=0.0, r_max=math.inf):
         super().__init__(r_min, r_max)
-        self._a, self._da, self._d2a = area, d_area, d2_area
+        self._fns = (area, d_area, d2_area)
 
-    def area(self, r):
-        return float(self._a(self._check(r)))
-
-    def d_area(self, r):
-        return float(self._da(self._check(r)))
-
-    def d2_area(self, r):
-        return float(self._d2a(self._check(r)))
+    def eval(self, r):
+        r = self._check(r)
+        vals = np.array([[f(x) for x in r.flat] for f in self._fns], dtype=float)
+        return _like(r, *vals.reshape((3,) + r.shape))
 
 
 def bump_profile(amplitude: float = 0.3, center: float = 5.0) -> CustomProfile:
@@ -342,14 +337,9 @@ class TabulatedProfile(RadialProfile):
             if np.any(self._d1(probe) < 0):
                 raise ValidationError("interpolated A must be monotone near endpoints")
 
-    def area(self, r):
-        return float(self._spline(self._check(r)))
-
-    def d_area(self, r):
-        return float(self._d1(self._check(r)))
-
-    def d2_area(self, r):
-        return float(self._d2(self._check(r)))
+    def eval(self, r):
+        r = self._check(r)
+        return _like(r, self._spline(r), self._d1(r), self._d2(r))
 
 
 def parse_profile_file(path) -> TabulatedProfile:
@@ -381,24 +371,22 @@ def parse_profile_file(path) -> TabulatedProfile:
 # pointwise functionals
 
 
-def scalar_curvature(profile: RadialProfile, r: float) -> float:
+def scalar_curvature(profile: RadialProfile, r):
     """R = (16 pi A + A'^2 - 4 A A'') / (2 A^2)."""
-    A = profile.area(r)
-    Ap = profile.d_area(r)
-    App = profile.d2_area(r)
+    A, Ap, App = profile.eval(r)
     return (16.0 * math.pi * A + Ap * Ap - 4.0 * A * App) / (2.0 * A * A)
 
 
-def hawking_mass_sphere(profile: RadialProfile, r: float) -> float:
+def hawking_mass_sphere(profile: RadialProfile, r):
     """m_H(S_r) = sqrt(A / 16 pi) (1 - A'^2 / (16 pi A))."""
-    A = profile.area(r)
-    Ap = profile.d_area(r)
-    return math.sqrt(A / (16.0 * math.pi)) * (1.0 - Ap * Ap / (16.0 * math.pi * A))
+    A, Ap, _ = profile.eval(r)
+    return np.sqrt(A / (16.0 * math.pi)) * (1.0 - Ap * Ap / (16.0 * math.pi * A))
 
 
-def mean_curvature(profile: RadialProfile, r: float) -> float:
+def mean_curvature(profile: RadialProfile, r):
     """H = A'/A of the coordinate sphere at r."""
-    return profile.d_area(r) / profile.area(r)
+    A, Ap, _ = profile.eval(r)
+    return Ap / A
 
 
 # ---------------------------------------------------------------------------
@@ -411,23 +399,25 @@ def adm_mass(profile: RadialProfile, r0: float = 1e3) -> float:
     Raises NonConvergenceError when the Hawking masses do not settle
     (the tail is not asymptotically flat).
     """
-    rs = [r0 * 2.0 ** k for k in range(4)]
+    rs = r0 * 2.0 ** np.arange(4)
     if rs[-1] >= profile.r_max:
         raise DomainError("extrapolation radii exceed the profile domain")
-    vals = [hawking_mass_sphere(profile, r) for r in rs]
+    vals = hawking_mass_sphere(profile, rs).tolist()
     diffs = [abs(vals[i + 1] - vals[i]) for i in range(3)]
     scale = max(1.0, max(abs(v) for v in vals))
-    if diffs[0] > 1e-12 * scale and diffs[-1] > 0.75 * diffs[0]:
+    # m_H(r) cancels to O(m/r) inside sqrt(A/16 pi) ~ r/2, so it carries
+    # rounding noise ~ eps r; differences below that do not show a tail
+    noise = max(1e-12 * scale, 16.0 * np.finfo(float).eps * rs[-1])
+    if diffs[0] > noise and diffs[-1] > 0.75 * diffs[0]:
         raise NonConvergenceError("non-flat tail: Hawking masses not settling",
                                   samples=vals)
     return richardson_decay(vals)
 
 
-def regular_mass_integrand(profile: RadialProfile, r: float) -> float:
+def regular_mass_integrand(profile: RadialProfile, r):
     """-(1/64 pi^{3/2}) A'^2 / sqrt(A); its r -> 0 limit is the central mass."""
-    A = profile.area(r)
-    Ap = profile.d_area(r)
-    return -(Ap * Ap) / (64.0 * math.pi ** 1.5 * math.sqrt(A))
+    A, Ap, _ = profile.eval(r)
+    return -(Ap * Ap) / (64.0 * math.pi ** 1.5 * np.sqrt(A))
 
 
 def regular_mass(profile: RadialProfile, eps: float = 1e-6) -> float:
@@ -440,7 +430,7 @@ def regular_mass(profile: RadialProfile, eps: float = 1e-6) -> float:
     """
     if profile.r_min != 0.0:
         raise DomainError("regular mass needs the singular end at r = 0")
-    vals = [regular_mass_integrand(profile, eps / 2.0 ** k) for k in range(4)]
+    vals = regular_mass_integrand(profile, eps / 2.0 ** np.arange(4)).tolist()
     return limit_smallstep(vals, diverged=lambda sign: sign * math.inf)
 
 
@@ -448,13 +438,11 @@ def regular_mass(profile: RadialProfile, eps: float = 1e-6) -> float:
 # capacity
 
 
-def radial_capacity_function(profile: RadialProfile, r: float,
-                             rel_tol: float = 1e-10) -> float:
+def radial_capacity_function(profile: RadialProfile, r: float) -> float:
     """f(r) = 4 pi int_r^inf ds / A(s)."""
     if not math.isinf(profile.r_max):
         raise DomainError("capacity needs an unbounded profile")
-    return FOUR_PI * tail_integral(lambda s: 1.0 / profile.area(s), r,
-                                   rel_tol=rel_tol)
+    return FOUR_PI * tail_integral(lambda s: 1.0 / profile.area(s), r)
 
 
 def radial_capacity(profile: RadialProfile, r0: float) -> float:
@@ -475,9 +463,8 @@ def capacity_center(profile: RadialProfile, eps: float = 1e-4) -> float:
         if profile.p >= 1.0:
             return 0.0
         r_in = min(eps, 0.5 * profile.r_glue)
-        f = FOUR_PI * (profile.head_capacity_integral(r_in)
-                       + tail_integral(lambda s: 1.0 / profile.area(s), r_in))
-        return 1.0 / f
+        return 1.0 / (FOUR_PI * profile.head_capacity_integral(r_in)
+                      + radial_capacity_function(profile, r_in))
     caps = [radial_capacity(profile, eps / 2.0 ** k) for k in range(4)]
     lim = limit_smallstep(caps, diverged=lambda sign: 0.0 if sign < 0 else math.inf)
     if not math.isfinite(lim):
@@ -534,6 +521,114 @@ def classify_power_law(k: float, p: float) -> MassReport:
 # ---------------------------------------------------------------------------
 # harmonic conformal modification
 
+def _bary_weights(x: np.ndarray) -> np.ndarray:
+    d = x[:, None] - x
+    np.fill_diagonal(d, 1.0)
+    lam = 1.0 / d.prod(axis=1)
+    return lam / np.abs(lam).max()
+
+
+@functools.cache
+def _panel_rule():
+    """Gauss nodes and weights, running-integral nodes (-1 and the Gauss
+    nodes), the matrix taking node values to the running integral from -1
+    of their interpolant, and the barycentric weights of both node sets."""
+    n = 24
+    x, w = gauss_nodes(n)
+    x1 = np.concatenate(([-1.0], x))
+    # Legendre coefficients of the interpolant, by discrete orthogonality
+    to_coef = (np.arange(n) + 0.5)[:, None] * legvander(x, n - 1).T * w
+    spectral = np.einsum("ij,jk,kl->il", legvander(x, n),
+                         legint(np.eye(n), lbnd=-1.0), to_coef)
+    return x, w, x1, spectral, _bary_weights(x), _bary_weights(x1)
+
+
+def _bary(nodes, lam, values, u):
+    """Row i: the polynomial through (nodes, values[i]) at u[i] (barycentric form)."""
+    c = u[:, None] - nodes
+    rows, cols = np.nonzero(c == 0.0)
+    c[rows, cols] = 1.0
+    np.divide(lam, c, out=c)
+    out = (c * values).sum(axis=1) / c.sum(axis=1)
+    out[rows] = values[rows, cols]
+    return out
+
+
+class _PanelTable:
+    """Running integral F(r) of a positive vectorized integrand on Gauss panels.
+
+    The panels are octaves [2^k, 2^(k+1)] of d = r - origin, from 2^-64
+    (30 octaves below the origin when it is positive) up to 16; ``cover``
+    adds octaves above on demand.  F = 0 at d = 1 unless ``anchor`` moves
+    the zero to another edge.  Each panel keeps the integrand at its
+    Gauss nodes and the integral from its left edge to each node, so F
+    and the integrand anywhere inside come from barycentric
+    interpolation (Berrut & Trefethen, SIAM Rev. 46, 2004).
+    """
+
+    def __init__(self, integrand, origin: float):
+        self.integrand, self.origin = integrand, origin
+        k_lo = -64 if origin == 0.0 else min(-1, math.floor(math.log2(origin)) - 30)
+        self.d_edges = 2.0 ** np.arange(k_lo, 5.0)
+        self.g, self.cum, self.totals = self._tabulate(self.d_edges)
+        self.anchor(-k_lo)
+
+    def anchor(self, j: int):
+        """Set F = 0 at edge j, summing panel totals outward from it."""
+        t = self.totals
+        self.F = np.concatenate((-np.cumsum(t[:j][::-1])[::-1], [0.0], np.cumsum(t[j:])))
+
+    def _tabulate(self, d_edges):
+        x, w, _, spectral, _, _ = _panel_rule()
+        half = 0.5 * np.diff(d_edges)[:, None]
+        g = self.integrand(self.origin + 0.5 * (d_edges[1:] + d_edges[:-1])[:, None]
+                           + half * x)
+        cum = np.hstack((np.zeros((len(g), 1)), half * np.einsum("ij,kj->ik", g, spectral)))
+        return g, cum, (half * g * w).sum(axis=1)
+
+    @property
+    def top(self) -> float:
+        return self.origin + self.d_edges[-1]
+
+    def cover(self, r: float):
+        """Add octave panels above until the table reaches r."""
+        if r <= self.top:
+            return
+        k_top = math.log2(self.d_edges[-1])
+        d_edges = 2.0 ** np.arange(k_top, math.ceil(math.log2(r - self.origin)) + 1.0)
+        g, cum, totals = self._tabulate(d_edges)
+        self.d_edges = np.concatenate((self.d_edges, d_edges[1:]))
+        self.g, self.cum = np.vstack((self.g, g)), np.vstack((self.cum, cum))
+        self.totals = np.concatenate((self.totals, totals))
+        self.F = np.concatenate((self.F, self.F[-1] + np.cumsum(totals)))
+
+    def _panel(self, idx):
+        i = np.clip(idx - 1, 0, len(self.d_edges) - 2)
+        return i, self.d_edges[i], self.d_edges[i + 1]
+
+    def integral(self, r):
+        r = np.asarray(r, dtype=float)
+        d = (r - self.origin).ravel()
+        i, lo, hi = self._panel(np.searchsorted(self.d_edges, d, side="right"))
+        u = (2.0 * d - lo - hi) / (hi - lo)
+        _, _, x1, _, _, lam1 = _panel_rule()
+        return (self.F[i] + _bary(x1, lam1, self.cum[i], u)).reshape(r.shape)
+
+    def invert(self, y):
+        """r with F(r) = y, by safeguarded Newton on the panel interpolant."""
+        y = np.asarray(y, dtype=float)
+        flat = y.ravel()
+        i, lo, hi = self._panel(np.searchsorted(self.F, flat, side="right"))
+        F0, cum, g = self.F[i], self.cum[i], self.g[i]
+        x, _, x1, _, lam, lam1 = _panel_rule()
+
+        def residual(d):
+            u = (2.0 * d - lo - hi) / (hi - lo)
+            return F0 + _bary(x1, lam1, cum, u) - flat, _bary(x, lam, g, u)
+
+        start = lo + (hi - lo) * (flat - F0) / (self.F[i + 1] - F0)
+        return (self.origin + _newton(residual, start, lo, hi)).reshape(y.shape)
+
 
 class ConformalProfile(RadialProfile):
     """Base profile rescaled by the harmonic conformal factor phi = 1 + C f(r).
@@ -549,222 +644,87 @@ class ConformalProfile(RadialProfile):
     For C < 0, phi crosses zero at the unique radius with f = -1/C;
     the profile is restricted to the outside of that locus, which is
     exactly the conformal construction of a point singularity there
-    (areas shrink to zero).  Quantities are tabulated on a geometric
-    grid of octave panels with fixed-order Gauss quadrature; the grid
-    grows on demand.
+    (areas shrink to zero).
+
+    Two panel tables are built once and grow outward on demand: the
+    running integral of 4 pi/A above the base's inner end (f is its
+    complement, anchored by a tail integral one unit above that end), and the
+    new arclength s_new = int phi^2 ds above the floor.  s_new starts
+    at the floor when that integral converges there, and at base radius
+    1 (the domain then unbounded below) when it diverges.
     """
 
     kind = "conformal"
 
-    _NODES = 24
-
     def __init__(self, base: RadialProfile, C: float):
         if not math.isfinite(C):
             raise ValidationError("conformal strength must be finite")
+        if not base.r_min >= 0.0:
+            raise DomainError("conformal base must start at a radius >= 0")
         self.base = base
         self.C = float(C)
-
-        hi = 16.0
-        self._edges: list[float] = [hi]
-        self._f_edges: list[float] = [radial_capacity_function(base, hi, rel_tol=1e-12)]
-
+        inner = base.r_min
+        self._f1 = radial_capacity_function(base, inner + 1.0)
+        self._inv_area = _PanelTable(lambda r: FOUR_PI / base.area(r), inner)
         floor = self._find_floor()
-        self._floor = floor
-        self._extend_down(self._inner_seed(floor))
-        self._s_origin_finite = self._probe_floor_arclength()
-        super().__init__(0.0 if self._s_origin_finite else -math.inf, math.inf)
-        self._build_arclength()
+        self._arc = _PanelTable(lambda r: self._phi(r) ** 2, floor)
+        P0, P1 = self._arc.totals[:2]
+        if floor == inner and P0 >= P1:
+            # int phi^2 ds diverges at the inner end: s_new = 0 at base radius 1
+            self._s0, r_min = 0.0, -math.inf
+        else:
+            # s_new = 0 at the floor.  phi vanishes linearly at a crossing, so the
+            # sliver below the table is negligible; at the base's inner end the
+            # octave integrals shrink geometrically, P0 sum_k (P0/P1)^k
+            self._arc.anchor(0)
+            self._s0, r_min = (0.0 if floor > inner else -P0 * P0 / (P1 - P0)), 0.0
+        super().__init__(r_min, math.inf)
 
-    # -- the harmonic factor --------------------------------------------------
-
-    def _extend_down(self, lo: float):
-        while self._edges[0] > lo:
-            e_hi = self._edges[0]
-            e_lo = max(lo, 0.5 * e_hi) if 0.5 * e_hi > lo * 1.0000001 else lo
-            df = FOUR_PI * gauss_panel(
-                np.vectorize(lambda s: 1.0 / self.base.area(s)),
-                e_lo, e_hi, self._NODES)
-            self._edges.insert(0, e_lo)
-            self._f_edges.insert(0, self._f_edges[0] + df)
-
-    def _extend_up(self, hi: float):
-        while self._edges[-1] < hi:
-            e_lo = self._edges[-1]
-            e_hi = min(2.0 * e_lo, hi) if 2.0 * e_lo < hi * 0.9999999 else hi
-            df = FOUR_PI * gauss_panel(
-                np.vectorize(lambda s: 1.0 / self.base.area(s)),
-                e_lo, e_hi, self._NODES)
-            self._edges.append(e_hi)
-            self._f_edges.append(self._f_edges[-1] - df)
-
-    def f(self, r: float) -> float:
-        """Radial capacity function of the base, panel-accelerated."""
-        if r > self._edges[-1]:
-            self._extend_up(r)
-        if r < self._edges[0]:
-            self._extend_down(r)
-        i = int(np.searchsorted(self._edges, r, side="right")) - 1
-        i = min(max(i, 0), len(self._edges) - 2)
-        part = FOUR_PI * gauss_panel(
-            np.vectorize(lambda s: 1.0 / self.base.area(s)),
-            self._edges[i], r, self._NODES)
-        return self._f_edges[i] - part
-
-    def phi(self, r: float) -> float:
-        return 1.0 + self.C * self.f(r)
+    def _phi(self, r):
+        self._inv_area.cover(np.max(r))
+        return 1.0 + self.C * (self._f1 - self._inv_area.integral(r))
 
     def _find_floor(self) -> float:
-        """Zero crossing of phi (phi is increasing in r for C < 0)."""
+        """Zero crossing of phi (increasing in r for C < 0), else the base's inner end."""
         if self.C >= 0.0:
             return self.base.r_min
-        target = -1.0 / self.C
-        lo_limit = self.base.r_min
-        lo = max(lo_limit * 1.0000001, 1e-12) if lo_limit > 0 else 1e-12
-        hi = self._edges[-1]
-        # strong factors push the crossing out past the initial grid
-        while self.phi(hi) <= 0.0:
-            hi *= 2.0
-            self._extend_up(hi)
-            if hi > 1e30:
+        table = self._inv_area
+        target = self._f1 + 1.0 / self.C  # running integral where phi = 0
+        while table.F[-1] <= target:  # strong factors push the crossing outward
+            if table.top > 1e30:
                 raise NumericalError("conformal factor stays nonpositive")
-        # ensure f(lo) > target (phi(lo) < 0) or conclude no crossing
-        for _ in range(2000):
-            self._extend_down(lo)
-            if self._f_edges[0] > target:
-                break
-            if lo <= lo_limit * 1.0000001 + 1e-250:
-                return self.base.r_min  # phi > 0 everywhere
-            lo = max(lo_limit + 0.25 * (lo - lo_limit), 0.25 * lo)
-        else:
-            return self.base.r_min
-        a, b = lo, hi
-        for _ in range(200):
-            mid = 0.5 * (a + b)
-            if self.phi(mid) <= 0.0:
-                a = mid
-            else:
-                b = mid
-            if b - a <= 1e-15 * max(1.0, b):
-                break
-        return b
+            table.cover(2.0 * table.top)
+        if table.F[0] >= target:
+            return self.base.r_min  # phi > 0 all the way in
+        return float(table.invert(target))
 
-    def _inner_seed(self, floor: float) -> float:
-        if floor > 0.0:
-            return floor * (1.0 + 1e-12)
-        return 1e-6
-
-    def _probe_floor_arclength(self) -> bool:
-        """Is int phi^2 ds finite down to the floor?"""
-        if self._floor > 0.0:
-            return True  # phi vanishes linearly, integrand ~ (r - floor)^2
-        # floor at r = 0: check how phi^2 scales as r -> 0
-        v1 = self.phi(1e-6) ** 2 * 1e-6
-        v2 = self.phi(1e-8) ** 2 * 1e-8
-        return v2 < v1
-
-    # -- arclength map ---------------------------------------------------------
-
-    def _phi2_vec(self):
-        return np.vectorize(lambda s: self.phi(s) ** 2)
-
-    def _build_arclength(self):
-        """Cumulative s_new at the panel edges, origin at the floor (or edge 0).
-
-        The f-grid may extend below the floor (it was probed there while
-        locating the phi = 0 crossing); the arclength table must not.
-        """
-        edges = [e for e in self._edges if e > self._floor * (1.0 + 1e-12)]
-        if not edges:
-            edges = [self._edges[-1]]
-        integr = self._phi2_vec()
-        panel = [gauss_panel(integr, edges[i], edges[i + 1], self._NODES)
-                 for i in range(len(edges) - 1)]
-        s = [0.0]
-        for val in panel:
-            s.append(s[-1] + val)
-        if self._s_origin_finite:
-            # add the sliver between the floor and the first edge
-            lead = 0.0
-            if edges[0] > self._floor:
-                if self._floor == 0.0:
-                    # integrable head: refine geometrically toward 0
-                    sub = np.geomspace(1e-14, edges[0], 24)
-                else:
-                    sub = np.linspace(self._floor, edges[0], 24)
-                for a, b in zip(sub[:-1], sub[1:]):
-                    lead += gauss_panel(integr, a, b, self._NODES)
-            s = [v + lead for v in s]
-            s.insert(0, 0.0)
-            edges = [self._floor] + edges
-            self._arc_edges = edges
-            self._arc_s = s
-        else:
-            self._arc_edges = list(edges)
-            self._arc_s = s
-
-    def _sync_arclength(self, r: float):
-        if r > self._arc_edges[-1]:
-            integr = self._phi2_vec()
-            while self._arc_edges[-1] < r:
-                a = self._arc_edges[-1]
-                b = 2.0 * a if a > 0 else 1.0
-                self._extend_up(b)
-                self._arc_edges.append(b)
-                self._arc_s.append(self._arc_s[-1] + gauss_panel(integr, a, b, self._NODES))
-
-    def new_arclength(self, r: float) -> float:
-        """s_new(r): phi^2-weighted arclength from the floor (or grid origin)."""
-        self._sync_arclength(r)
-        if r < self._arc_edges[0]:
+    def new_arclength(self, r):
+        """s_new(r), the phi^2-weighted arclength, for a float or an array."""
+        r = np.asarray(r, dtype=float)
+        if np.any(r < self._arc.origin + self._arc.d_edges[0]):
             raise DomainError("radius below the conformal domain")
-        i = int(np.searchsorted(self._arc_edges, r, side="right")) - 1
-        i = min(max(i, 0), len(self._arc_edges) - 2)
-        return self._arc_s[i] + gauss_panel(self._phi2_vec(),
-                                            self._arc_edges[i], r, self._NODES)
+        self._arc.cover(np.max(r))
+        return _like(r, self._arc.integral(r) - self._s0)[0]
 
-    def old_radius(self, s_new: float) -> float:
-        """Invert the arclength map (monotone; bracketed Newton)."""
-        while s_new > self._arc_s[-1]:
-            self._sync_arclength(2.0 * self._arc_edges[-1])
-        if s_new < self._arc_s[0]:
-            raise DomainError("arclength below the conformal domain")
-        i = int(np.searchsorted(self._arc_s, s_new, side="right")) - 1
-        i = min(max(i, 0), len(self._arc_s) - 2)
-        lo, hi = self._arc_edges[i], self._arc_edges[i + 1]
-        r = 0.5 * (lo + hi)
-        for _ in range(100):
-            err = self.new_arclength(r) - s_new
-            if err > 0:
-                hi = r
-            else:
-                lo = r
-            dphi2 = self.phi(r) ** 2
-            r_new = r - err / dphi2 if dphi2 > 0 else 0.5 * (lo + hi)
-            if not (lo < r_new < hi):
-                r_new = 0.5 * (lo + hi)
-            if abs(r_new - r) <= 1e-15 * max(1.0, abs(r)) or hi - lo <= 1e-15 * max(1.0, hi):
-                return r_new
-            r = r_new
-        return r
+    def old_radius(self, s_new):
+        """Base radius r with new arclength s_new, for a float or an array."""
+        y = np.asarray(s_new, dtype=float) + self._s0
+        table = self._arc
+        while table.F[-1] < np.max(y):
+            table.cover(table.top + 2.0 * (np.max(y) - table.F[-1]))
+        if np.any(y < table.F[0]):
+            raise DomainError("arclength below the tabulated conformal domain")
+        return _like(y, table.invert(y))[0]
 
-    # -- accessors (arguments are the new arclength) ---------------------------
-
-    def area(self, s):
-        r = self.old_radius(self._check(s))
-        return self.phi(r) ** 4 * self.base.area(r)
-
-    def d_area(self, s):
-        r = self.old_radius(self._check(s))
-        ph = self.phi(r)
-        return ph * ph * self.base.d_area(r) - 16.0 * math.pi * self.C * ph
-
-    def d2_area(self, s):
-        r = self.old_radius(self._check(s))
-        ph = self.phi(r)
-        A = self.base.area(r)
-        return (self.base.d2_area(r)
-                - 8.0 * math.pi * self.C * self.base.d_area(r) / (A * ph)
-                + 64.0 * math.pi ** 2 * self.C ** 2 / (A * ph * ph))
+    def eval(self, s):
+        s = self._check(s)
+        r = np.asarray(self.old_radius(s))
+        ph = self._phi(r)
+        A, dA, d2A = self.base.eval(r)
+        C = self.C
+        return _like(s, ph ** 4 * A, ph * ph * dA - 4.0 * FOUR_PI * C * ph,
+                     d2A - 2.0 * FOUR_PI * C * dA / (A * ph)
+                     + 4.0 * FOUR_PI * FOUR_PI * C * C / (A * ph * ph))
 
 
 @dataclass(frozen=True)

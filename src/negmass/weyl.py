@@ -67,20 +67,6 @@ class ZVModel:
         return self.ratio == 2.0
 
 
-@dataclass(frozen=True)
-class WeylPoint:
-    """Cylindrical coordinates (rho >= 0, z), off the rod for potentials."""
-
-    rho: float
-    z: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.rho) and math.isfinite(self.z)):
-            raise ValidationError("Weyl point must be finite")
-        if self.rho < 0.0:
-            raise ValidationError("rho must be nonnegative")
-
-
 def _check_off_rod(zv: ZVModel, rho, z):
     rho = np.asarray(rho, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -326,26 +312,13 @@ def level_set_energy(zv: ZVModel, rho: float, L: float | None = None,
     return 2.0 * math.pi * rho * val
 
 
-def exp_lambda_flux(zv: ZVModel, radius: float, n_nodes: int = 64) -> float:
-    """Metric flux (1/4 pi) closed-integral <nu, grad e^lam>_g dA_g.
-
-    e^lam is harmonic in the rod metric, so this flux is the same
-    through every enclosing surface.  The metric factors collapse:
-    sqrt(g) g^{nn} times d(e^lam)/dn reduces to rho dlam/dn in the flat
-    (rho, z) half-plane, i.e. exactly the flat flux of lam, which is m.
-    The capacity of the level set e^lam = L is then |flux|/(L - 1).
-    """
-    if radius <= zv.a:
-        raise DomainError("flux sphere must enclose the rod")
-    x, w = gauss_nodes(n_nodes)
-    theta = 0.5 * math.pi * (x + 1.0)
-    wt = 0.5 * math.pi * w
-    rho = radius * np.sin(theta)
-    z = radius * np.cos(theta)
-    lam_rho, lam_z, _, _ = zv_gradients(zv, rho, z)
-    radial = np.sin(theta) * lam_rho + np.cos(theta) * lam_z
-    integral = 2.0 * math.pi * float(np.sum(wt * radial * radius ** 2 * np.sin(theta)))
-    return integral / (4.0 * math.pi)
+# Metric flux (1/4 pi) closed-integral <nu, grad e^lam>_g dA_g.  e^lam is
+# harmonic in the rod metric, so this flux is the same through every
+# enclosing surface, and the metric factors collapse: sqrt(g) g^{nn} times
+# d(e^lam)/dn reduces to rho dlam/dn in the flat (rho, z) half-plane, i.e.
+# exactly the flat flux of lam, which is m.  The capacity of the level set
+# e^lam = L is then |flux|/(L - 1).
+exp_lambda_flux = adm_flux
 
 
 def level_set_capacity(zv: ZVModel, L: float, radius: float | None = None) -> float:

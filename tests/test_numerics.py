@@ -4,18 +4,8 @@ import numpy as np
 import pytest
 
 from negmass.errors import NonConvergenceError, NumericalError
-from negmass.numerics import (adaptive_simpson, bisect_root, durand_kerner,
-                              dyadic_gauss, gauss_panel, limit_smallstep,
-                              richardson_decay, tail_integral)
-
-
-def test_adaptive_simpson_polynomial_exact():
-    assert adaptive_simpson(lambda x: x * x, 0.0, 1.0) == pytest.approx(1.0 / 3.0, abs=1e-14)
-
-
-def test_adaptive_simpson_oscillatory():
-    val = adaptive_simpson(math.sin, 0.0, math.pi, rel_tol=1e-12)
-    assert val == pytest.approx(2.0, abs=1e-11)
+from negmass.numerics import (bisect_root, durand_kerner, dyadic_gauss, gauss_panel,
+                              limit_smallstep, richardson_decay, tail_integral)
 
 
 def test_tail_integral_inverse_square():
@@ -28,11 +18,24 @@ def test_tail_integral_needs_positive_start():
         tail_integral(lambda r: 1.0 / r ** 2, 0.0)
 
 
-def test_gauss_panel_matches_simpson():
+def test_tail_integral_log_tail():
+    # int_a^inf ln r / r^2 dr = (1 + ln a)/a; the u = 1/r integrand -ln u is unbounded
+    for a in (0.01, 2.0, 50.0):
+        assert tail_integral(lambda r: np.log(r) / r ** 2, a) == pytest.approx(
+            (1.0 + math.log(a)) / a, rel=1e-10)
+
+
+def test_tail_integral_raises_when_orders_disagree():
+    # sin(1/u) oscillates without bound toward u = 0: orders n and 2n cannot agree
+    with pytest.raises(NonConvergenceError):
+        tail_integral(lambda r: np.sin(r) / r ** 2, 1.0)
+
+
+def test_gauss_panel_matches_closed_form():
+    # int_0^2 e^{-x} sin 3x dx = (3 - e^{-2}(sin 6 + 3 cos 6))/10
     f = lambda x: np.exp(-x) * np.sin(3 * x)
-    a = gauss_panel(f, 0.0, 2.0, 32)
-    b = adaptive_simpson(lambda x: math.exp(-x) * math.sin(3 * x), 0.0, 2.0, rel_tol=1e-13)
-    assert a == pytest.approx(b, abs=1e-12)
+    exact = (3.0 - math.exp(-2.0) * (math.sin(6.0) + 3.0 * math.cos(6.0))) / 10.0
+    assert gauss_panel(f, 0.0, 2.0, 32) == pytest.approx(exact, abs=1e-12)
 
 
 def test_dyadic_gauss_boundary_layer():

@@ -1,11 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from negmass.errors import (DomainError, NonConvergenceError, ValidationError)
-from negmass.spherical import (ConformalSchwarzschildProfile, CustomProfile,
-                               FlatProfile, MassReport, PowerLawProfile,
+from negmass.spherical import (ConformalProfile, ConformalSchwarzschildProfile,
+                               CustomProfile, FlatProfile, MassReport, PowerLawProfile,
                                TabulatedProfile, adm_mass, apply_harmonic_conformal,
                                bump_profile, capacity_center, classify_power_law,
                                hawking_mass_sphere, parse_profile_file,
@@ -21,6 +24,86 @@ def three_sphere_profile():
         lambda r: 4 * math.pi * math.sin(2 * r),
         lambda r: 8 * math.pi * math.cos(2 * r),
         r_min=0.0, r_max=math.pi)
+
+
+# ---------------------------------------------------------------------------
+# the eval contract
+
+
+def _eval_cases():
+    rs, As = _flat_samples()
+    return [
+        (FlatProfile(), [0.1, 1.0, 42.0]),
+        (ConformalSchwarzschildProfile(-1.0), [1e-30, 0.01, 0.5, 3.0, 1e4]),
+        (ConformalSchwarzschildProfile(2.0), [1e-9, 0.5, 3.0, 1e4]),
+        # r_glue = 0.385: head, glue point, blend, flat tail
+        (PowerLawProfile(3.0, 0.5), [0.1, 0.3848347315591266, 0.5, 1.0, 7.0]),
+        (TabulatedProfile(rs, As), [0.2, 1.0, 50.0]),
+        (bump_profile(), [0.5, 4.0, 5.0, 9.0]),
+        (ConformalProfile(FlatProfile(), -0.5), [0.01, 0.3, 1.0, 5.0]),
+    ]
+
+
+def test_eval_array_matches_scalar():
+    for prof, radii in _eval_cases():
+        grid = np.array(radii)
+        arrays = prof.eval(grid)
+        for i, r in enumerate(radii):
+            scalar = prof.eval(r)
+            assert all(type(v) is float for v in scalar)
+            assert [a[i] for a in arrays] == pytest.approx(scalar, rel=1e-13), prof
+            assert (prof.area(r), prof.d_area(r), prof.d2_area(r)) == scalar
+        square = prof.eval(np.vstack((grid, grid)))
+        assert all(v.shape == (2, grid.size) for v in square)
+        assert square[0][1] == pytest.approx(arrays[0], rel=1e-13)
+
+
+def test_eval_rejects_any_radius_outside_domain():
+    with pytest.raises(DomainError):
+        FlatProfile().eval(np.array([1.0, -1.0]))
+    with pytest.raises(DomainError):
+        three_sphere_profile().eval(np.array([1.0, 4.0]))
+
+
+def _power_law_reference(k, p, r):
+    """Head, C^2 smoothstep blend and flat tail, written out piece by piece."""
+    g = (k / (4 * math.pi)) ** (1 / (2 - p))
+    h = (k * r ** p, k * p * r ** (p - 1), k * p * (p - 1) * r ** (p - 2))
+    flat = (4 * math.pi * r * r, 8 * math.pi * r, 8 * math.pi)
+    if r <= g:
+        return h
+    if r >= 2 * g:
+        return flat
+    t = r / g - 1
+    w = t ** 3 * (10 - 15 * t + 6 * t * t)
+    dw = 30 * t * t * (1 - t) ** 2 / g
+    d2w = 60 * t * (1 - 3 * t + 2 * t * t) / g ** 2
+    d = [f - hh for f, hh in zip(flat, h)]
+    return (h[0] + w * d[0], h[1] + dw * d[0] + w * d[1],
+            h[2] + d2w * d[0] + 2 * dw * d[1] + w * d[2])
+
+
+def test_power_law_eval_matches_piecewise_reference():
+    for k, p in ((3.0, 0.5), (5.0, 1.2), (2.0, 2.5)):
+        prof = PowerLawProfile(k, p)
+        radii = prof.r_glue * np.array([0.1, 1.0, 1.3, 1.7, 2.0, 5.0])
+        arrays = prof.eval(radii)
+        for i, r in enumerate(radii):
+            assert [a[i] for a in arrays] == pytest.approx(
+                _power_law_reference(k, p, r), rel=1e-13)
+    head, tail = PowerLawProfile(3.0, 0.5).eval(np.array([0.1, 1.0]))[0]
+    assert head == 3.0 * 0.1 ** 0.5
+    assert tail == 4 * math.pi
+
+
+def test_neg_schwarzschild_head_down_to_tiny_radii():
+    # A ~ K r^{4/3} near the singularity, with a relative correction O((r/|m|)^{2/3})
+    for m in (-0.5, -1.0, -3.0):
+        prof = ConformalSchwarzschildProfile(m)
+        K = 16.0 * math.pi * (0.75 * m * m) ** (4.0 / 3.0) / (m * m)
+        r = 10.0 ** np.arange(-60.0, -1.0)
+        ratio = prof.area(r) / (K * r ** (4.0 / 3.0))
+        assert np.all(np.abs(ratio - 1.0) <= (r / abs(m)) ** (2.0 / 3.0) + 1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +280,12 @@ def test_capacity_schwarzschild_matches_closed_form():
             cs.capacity_exact(r0), rel=1e-8)
 
 
+def test_capacity_meets_closed_form_to_tail_tolerance():
+    for m, r0 in ((-3.0, 1e-3), (1.0, 1e-3), (-1.0, 1e-2)):
+        cs = ConformalSchwarzschildProfile(m)
+        assert radial_capacity(cs, r0) == pytest.approx(cs.capacity_exact(r0), rel=1e-10)
+
+
 def test_capacity_monotone_in_radius():
     for prof in (FlatProfile(), ConformalSchwarzschildProfile(-1.0),
                  PowerLawProfile(3.0, 0.5)):
@@ -288,6 +377,24 @@ def test_conformal_mass_shift():
         2.0, abs=1e-3)
 
 
+def test_conformal_flat_positive_strength():
+    # phi = 1 + C/r: int phi^2 ds diverges at r = 0, so s_new is anchored at r = 1
+    for C in (0.25, 0.5):
+        res = apply_harmonic_conformal(FlatProfile(), C)
+        assert abs(res.adm_check) <= 1e-6
+        assert res.profile.r_min == -math.inf
+        for r in (0.3, 1.0, 5.0):
+            assert res.profile.area(res.profile.new_arclength(r)) == pytest.approx(
+                4 * math.pi * r * r * (1 + C / r) ** 4, rel=1e-10)
+
+
+def test_conformal_adm_audit_ignores_rounding_noise():
+    # Hawking masses near r = 1e4 carry ~1e-12 of rounding noise; for these
+    # strengths it once read as a non-flat tail and the audit raised
+    for C in (-0.36705536726046406, -0.6328906445499611):
+        assert abs(apply_harmonic_conformal(FlatProfile(), C).adm_check) <= 1e-6
+
+
 def test_conformal_regular_mass_of_created_singularity():
     res = apply_harmonic_conformal(FlatProfile(), -0.5)
     assert regular_mass(res.profile, eps=1e-5) == pytest.approx(-1.0, abs=1e-3)
@@ -338,3 +445,14 @@ def test_tabulated_requires_endpoint_density():
     rs = np.geomspace(0.001, 1000.0, 12)  # 6 decades, 12 samples: far too sparse
     with pytest.raises(ValidationError):
         TabulatedProfile(rs, 4 * math.pi * rs ** 2)
+
+
+def test_import_keeps_scipy_interpolate_lazy():
+    # the tables are numpy-only; CubicSpline loads with the first tabulated profile
+    import negmass
+
+    src = os.path.dirname(os.path.dirname(negmass.__file__))
+    code = "import sys, negmass; print('scipy.interpolate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
