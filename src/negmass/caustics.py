@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import (BoundaryRegimeError, DegenerateKappaError, DomainError,
                      NumericalError, ValidationError)
-from .lens import LensModel, find_images, lens_map
+from .lens import LensModel, _rotated_out_of_frame, find_images, lens_map
 from .numerics import bisect_root
 
 GAP_TOL = 1e-9  # |e^{-i phi} - gamma*| below this is a parametrization gap
@@ -105,7 +105,9 @@ def critical_curve(reduced: ReducedLens, n_samples: int,
     negative real axis; consecutive samples are rematched by nearest
     neighbor so each branch traces a continuous curve.  Samples with
     |e^{-i phi} - gamma*| < 1e-9 (gamma* = 1 degeneracy) are emitted as
-    explicit gaps.  With a model given, caustic points are attached.
+    explicit gaps.  With a model given, the critical points are turned
+    by e^{i theta} into the model's lab frame and their caustic points
+    are attached.
     """
     if reduced.m_star >= 0:
         raise DomainError("critical_curve expects a negative reduced mass")
@@ -126,6 +128,8 @@ def critical_curve(reduced: ReducedLens, n_samples: int,
         prev = zp
         yp = ym = None
         if model is not None:
+            zp = _rotated_out_of_frame(zp, model)
+            zm = _rotated_out_of_frame(zm, model)
             yp = lens_map(zp, model)
             ym = lens_map(zm, model)
         out.append(CurveSample(phi, zp, zm, yp, ym))
@@ -298,12 +302,13 @@ class SurveyResult:
     margin: float
 
 
-def _caustic_points(model: LensModel, n: int = 8192) -> np.ndarray:
-    """Dense caustic sampling used for margin tests; empty for m = 0."""
+def _caustic_points(model: LensModel, n: int) -> np.ndarray:
+    """Caustic sampled at n angles per branch for margin tests; empty for m = 0."""
     if model.m == 0.0:
         return np.empty(0, dtype=complex)
     if model.kappa == 1.0:
-        pts = [lens_map(z, model) for z in critical_points_kappa1(model.m, model.gamma)]
+        pts = [lens_map(_rotated_out_of_frame(z, model), model)
+               for z in critical_points_kappa1(model.m, model.gamma)]
         return np.array(pts, dtype=complex)
     red = reduce(model)
     pts = []
@@ -314,15 +319,16 @@ def _caustic_points(model: LensModel, n: int = 8192) -> np.ndarray:
 
 
 def image_count_survey(model: LensModel, y1_axis, y2_axis,
-                       margin: float = 1e-3) -> SurveyResult:
+                       margin: float = 1e-3, samples: int = 8192) -> SurveyResult:
     """Count images of find_images over a rectangular source grid.
 
-    Grid points within ``margin`` of the sampled caustic set are flagged
-    unreliable (counts there are still reported).
+    Grid points within ``margin`` of the caustic, sampled at ``samples``
+    angles per branch, are flagged unreliable (counts there are still
+    reported).
     """
     y1 = np.asarray(y1_axis, dtype=float)
     y2 = np.asarray(y2_axis, dtype=float)
-    caus = _caustic_points(model)
+    caus = _caustic_points(model, samples)
     counts = np.zeros((y2.size, y1.size), dtype=int)
     near = np.zeros_like(counts, dtype=bool)
     for i, b in enumerate(y2):

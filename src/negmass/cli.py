@@ -59,7 +59,7 @@ _SPECS: dict[str, dict[str, tuple]] = {
     },
     "spherical-report": {**_COMMON_PROFILE, "r0": (float, 1.0)},
     "imcf-flow": {**_COMMON_PROFILE, "r0": (float, REQUIRED),
-                  "t-end": (float, REQUIRED)},
+                  "t-end": (float, REQUIRED), "n": (int, 101)},
     "weyl-zv": {
         "m": (float, REQUIRED), "a": (float, 1.0), "radius": (float, 5.0),
         "rho": (float, 1e-3),
@@ -266,7 +266,7 @@ def _cmd_lens_survey(args):
     if not hi > lo:
         raise ValidationError("--y for lens-survey is 'lo,hi' with hi > lo")
     axis = np.linspace(lo, hi, args.n)
-    result = caustics.image_count_survey(model, axis, axis)
+    result = caustics.image_count_survey(model, axis, axis, samples=args.samples)
     rows = []
     for i, b in enumerate(result.y2):
         for j, a in enumerate(result.y1):
@@ -314,7 +314,7 @@ def _cmd_spherical_report(args):
 
 def _cmd_imcf_flow(args):
     profile = _profile_from_args(args)
-    trace = imcf.imcf_flow(profile, args.r0, args.t_end)
+    trace = imcf.imcf_flow(profile, args.r0, args.t_end, args.n)
     rows = [[s.t, s.r, s.area, s.mean_curvature, s.hawking]
             for s in trace.states]
     write_csv(args.out, ["t", "r", "area", "H", "m_H"], rows)

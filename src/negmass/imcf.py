@@ -5,15 +5,17 @@ symmetry, to the scalar ODE
 
     dr/dt = 1/H = A(r) / A'(r),
 
-so the enclosed area obeys dA/dt = A exactly: area(t) = area(0) e^t is
-an integrator-accuracy test, not a modeling statement.  Along the flow
-the Hawking mass satisfies
+so the enclosed area obeys dA/dt = A exactly and the flow has a closed
+form: r(t) is the root of A(r) = A(r0) e^t, unique while A' > 0.  The
+trace solves for it on evenly spaced times, so area(t) e^{-t} = area(0)
+holds to rounding.  Along the flow the Hawking mass satisfies
 
     d m_H / dr = A' sqrt(A) R / (16 pi)^{3/2},
 
 so it is nondecreasing exactly where the scalar curvature R >= 0.  The
-classical flow breaks down where A' -> 0 (a horizon); the trace is then
-halted with an explicit flag rather than jumped.
+classical flow breaks down where A' -> 0 (a horizon r_h); the trace then
+halts at t_h = ln(A(r_h) / A(r0)) with an explicit flag rather than
+jumping.  (Huisken and Ilmanen, J. Diff. Geom. 59 (2001).)
 """
 
 from __future__ import annotations
@@ -21,17 +23,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import solve_ivp
+import numpy as np
 
-from .errors import DomainError, NumericalError
-from .spherical import RadialProfile, hawking_mass_sphere, radial_capacity, scalar_curvature
+from .errors import DomainError, NumericalError, ValidationError
+from .spherical import (RadialProfile, _newton, hawking_mass_sphere, radial_capacity,
+                        scalar_curvature)
 
-GEROCH_TOL = 1e-8  # absolute slack absorbing integrator noise
+GEROCH_TOL = 1e-8  # absolute slack absorbing rounding noise in the Hawking masses
+SCAN_POINTS = 64  # radii per doubling of r when scanning for where the flow stops
 
 
 @dataclass(frozen=True)
 class FlowState:
-    """One accepted step: time, radius, area, Hawking mass, mean curvature."""
+    """One sample of the flow: time, radius, area, Hawking mass, mean curvature."""
 
     t: float
     r: float
@@ -42,7 +46,7 @@ class FlowState:
 
 @dataclass(frozen=True)
 class GerochViolation:
-    """A Hawking-mass decrease beyond tolerance between consecutive steps."""
+    """A Hawking-mass decrease beyond tolerance between consecutive states."""
 
     t: float
     delta_hawking: float
@@ -61,52 +65,109 @@ class FlowTrace:
         return self.states[-1]
 
 
-def imcf_flow(profile: RadialProfile, r0: float, t_end: float,
-              dt: float = 1e-3) -> FlowTrace:
-    """Integrate dr/dt = A/A' from the sphere at r0 up to t_end.
+def imcf_flow(profile: RadialProfile, r0: float, t_end: float, n: int = 101) -> FlowTrace:
+    """Sample the flow from the sphere at r0 at n evenly spaced times in [0, t_end].
 
-    Embedded 4(5) pair (rtol 1e-9, atol 1e-12); dt only seeds the first
-    step.  If A' reaches zero the flow halts there and the trace is
-    flagged 'halted_at_horizon'.
+    Each radius solves A(r) = A(r0) e^t by safeguarded Newton.  If A'
+    falls to zero at r_h before A reaches A(r0) e^{t_end}, the times
+    span [0, ln(A(r_h)/A(r0))] instead, the last state sits on r_h and
+    the trace is flagged 'halted_at_horizon'.  A flow that would leave
+    the profile's domain first raises DomainError.
     """
+    if n < 2:
+        raise ValidationError("the flow needs n >= 2 states")
     r0 = float(r0)
     if not (profile.r_min < r0 < profile.r_max):
         raise DomainError("r0 outside the profile domain")
-    if profile.d_area(r0) <= 0.0:
+    A0, dA0, _ = profile.eval(r0)
+    if dA0 <= 0.0:
         raise DomainError("flow needs positive mean curvature at the start")
-    if t_end <= 0.0:
+    if not t_end > 0.0:
         raise DomainError("t_end must be positive")
+    try:
+        target = A0 * math.exp(t_end)
+    except OverflowError:
+        raise DomainError(f"A(r0) e^t_end overflows at t_end = {t_end}") from None
 
-    def rhs(t, y):
-        A, Ap, _ = profile.eval(y[0])
-        return [A / Ap]
+    rs, areas, halted = _scan(profile, r0, A0, target)
+    t = np.linspace(0.0, math.log(areas[-1] / A0) if halted else t_end, n)
+    r = np.empty(n)
+    r[0] = r0
+    solve = slice(1, n - 1 if halted else n)  # a halted trace ends on r_h itself
+    targets = A0 * np.exp(t[solve])
+    if targets.size:
+        # A rises along the scanned radii, so they bracket each target
+        i = np.clip(np.searchsorted(areas, targets), 1, areas.size - 1)
+        lo, hi = rs[i - 1], rs[i]
+        guess = lo + (targets - areas[i - 1]) / (areas[i] - areas[i - 1]) * (hi - lo)
 
-    def horizon(t, y):
-        return profile.d_area(y[0])
+        def residual(x):
+            A, dA, _ = profile.eval(x)
+            return A - targets, dA
 
-    horizon.terminal = True
-    horizon.direction = -1
+        r[solve] = _newton(residual, guess, lo, hi)
+    if halted:
+        r[-1] = rs[-1]
 
-    sol = solve_ivp(rhs, (0.0, t_end), [r0], method="RK45",
-                    rtol=1e-9, atol=1e-12, first_step=dt, events=horizon,
-                    dense_output=False)
-    halted = sol.status == 1
-    rs = sol.y[0]
-    areas, d_areas, _ = profile.eval(rs)
-    H = d_areas / areas
-    if not sol.success and not halted:
-        # the flow speed 1/H blows up on approach to a horizon, which can
-        # underflow the step size before the A' = 0 event fires; a stall
-        # with collapsing mean curvature is the same classical breakdown
-        if H[-1] < 1e-5 * H[0]:
-            halted = True
-        else:
-            raise NumericalError(f"flow integration failed: {sol.message}")
-    hawking = hawking_mass_sphere(profile, rs)
+    A, dA, _ = profile.eval(r)
+    hawking = hawking_mass_sphere(profile, r)
     states = tuple(FlowState(*vals) for vals in
-                   zip(sol.t.tolist(), rs.tolist(), areas.tolist(), hawking.tolist(),
-                       H.tolist()))
+                   zip(t.tolist(), r.tolist(), A.tolist(), hawking.tolist(),
+                       (dA / A).tolist()))
     return FlowTrace(states, tuple(_decreases(states, profile, GEROCH_TOL)), halted)
+
+
+def _scan(profile: RadialProfile, r0: float, A0: float, target: float):
+    """Radii from r0 out to where the flow stops, with their areas.
+
+    Scans outward in chunks of SCAN_POINTS radii, each chunk doubling r
+    (or closing in on a finite r_max), until A reaches target or A'
+    drops to zero or below.  Returns (rs, areas, halted) with rs[0] = r0
+    and areas rising along rs.  The last radius either has A >= target
+    or, with halted set, is the horizon r_h, refined to rounding, with
+    A(r_h) < target.
+    """
+    rs, areas = [[r0]], [[A0]]
+    frac = np.arange(1, SCAN_POINTS + 1) / SCAN_POINTS
+    r = r0
+    while True:
+        end = min(r + (r if r > 0.0 else 1.0), profile.r_max)
+        if not math.isfinite(end):
+            raise DomainError("the flow escapes to infinity before t_end")
+        chunk = r + (end - r) * frac
+        chunk = chunk[(chunk > r) & (chunk < profile.r_max)]
+        if not chunk.size:
+            raise DomainError(f"the flow reaches r_max = {profile.r_max} before t_end")
+        A, dA, _ = profile.eval(chunk)
+        if not (np.isfinite(A).all() and np.isfinite(dA).all()):
+            raise NumericalError(f"non-finite area on the flow beyond r = {r}")
+        stop = (A >= target) | (dA <= 0.0)
+        if stop.any():
+            break
+        rs.append(chunk)
+        areas.append(A)
+        r = chunk[-1]
+    j = int(np.argmax(stop))
+    if dA[j] > 0.0:
+        r_last, A_last, halted = chunk[j], A[j], False
+    else:
+        r_last = _horizon(profile, chunk[j - 1] if j else r, chunk[j])
+        A_last = profile.area(r_last)
+        halted = A_last < target
+    rs += [chunk[:j], [r_last]]
+    areas += [A[:j], [A_last]]
+    return np.concatenate(rs), np.concatenate(areas), halted
+
+
+def _horizon(profile: RadialProfile, lo: float, hi: float) -> float:
+    """The radius in (lo, hi] where A' falls through zero, given A'(lo) > 0 >= A'(hi)."""
+
+    def minus_slope(x):
+        _, dA, d2A = profile.eval(x)
+        return -dA, -d2A
+
+    return float(_newton(minus_slope, np.array([0.5 * (lo + hi)]), np.array([lo]),
+                         np.array([hi]))[0])
 
 
 def _decreases(states, profile: RadialProfile, tol: float):

@@ -85,6 +85,35 @@ def test_critical_curve_zeroes_full_jacobian():
             assert abs(jacobian_det(s.z_minus, model)) <= 1e-9
 
 
+ROTATED = (LensModel(-1.0, 0.4, 0.3, 1.19), LensModel(-0.7, 0.15, 0.6, 2.68),
+           LensModel(-1.6, 0.55, 0.1, 2.63))
+
+
+def test_critical_curve_of_rotated_lens_zeroes_jacobian():
+    for model in ROTATED:
+        for s in critical_curve(reduce(model), 90, model=model):
+            if s.gap:
+                continue
+            assert abs(jacobian_det(s.z_plus, model)) <= 1e-9
+            assert abs(jacobian_det(s.z_minus, model)) <= 1e-9
+
+
+def test_rotated_caustic_is_turned_by_theta():
+    for model in ROTATED:
+        flat = LensModel(model.m, model.kappa, model.gamma)
+        turn = cmath.exp(1j * model.theta)
+        pairs = zip(caustic_curve(reduce(model), model, 90),
+                    caustic_curve(reduce(flat), flat, 90))
+        for s, s0 in pairs:
+            assert abs(s.y_plus - turn * s0.y_plus) <= 1e-12 * abs(s0.y_plus)
+            assert abs(s.y_minus - turn * s0.y_minus) <= 1e-12 * abs(s0.y_minus)
+    # kappa = 1: the two-point caustic of the survey mask turns as well
+    from negmass.caustics import _caustic_points
+    pts = _caustic_points(LensModel(-1.0, 1.0, 0.2, 0.7), 8)
+    flat = _caustic_points(LensModel(-1.0, 1.0, 0.2), 8)
+    assert np.allclose(pts, cmath.exp(0.7j) * flat, rtol=1e-14, atol=0.0)
+
+
 def test_critical_curve_independent_of_eps():
     gamma = 0.2
     for kappa in (0.3, 0.6, 0.95):

@@ -140,6 +140,13 @@ def test_cli_imcf_flow(tmp_path):
     assert header == ["t", "r", "area", "H", "m_H"]
     final_area = rows[-1][2]
     assert final_area == pytest.approx(4 * math.pi * math.e ** 2, rel=1e-6)
+    assert len(rows) == 101
+    assert run(["imcf-flow", "--profile", "flat", "--r0", "1", "--t-end", "2",
+                "--n", "7", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 7
+    assert run(["imcf-flow", "--profile", "flat", "--r0", "1", "--t-end", "2",
+                "--n", "1", "--out", str(out)]) == 2
 
 
 def test_cli_critical_and_caustics(tmp_path):
@@ -169,6 +176,19 @@ def test_cli_survey(tmp_path):
         if near:
             continue
         assert count == (0 if math.hypot(y1, y2) < 2 else 2)
+
+
+def test_cli_survey_samples_change_mask(tmp_path):
+    # on this 18 x 18 grid four points lie within the margin of the caustic
+    # sampled at 8192 angles, and none within that of a 16-angle sampling
+    masks = []
+    for samples in ("16", "8192"):
+        out = tmp_path / f"s{samples}.csv"
+        assert run(["lens-survey", "--m", "-1", "--kappa", "2", "--gamma", "0.3",
+                    "--y=-2,2", "--n", "18", "--samples", samples, "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        masks.append([row[3] for row in rows])
+    assert sum(masks[0]) == 0 and sum(masks[1]) == 4
 
 
 def test_cli_spherical_report(tmp_path):

@@ -1,8 +1,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from negmass.errors import DomainError
+from negmass.errors import DomainError, ValidationError
 from negmass.imcf import (capacity_energy_bound, geroch_report, imcf_flow,
                           verify_capacity_bound)
 from negmass.spherical import (ConformalSchwarzschildProfile, CustomProfile,
@@ -26,7 +28,28 @@ def test_area_growth_exactly_exponential():
         trace = imcf_flow(prof, r0, 5.0)
         a0 = trace.states[0].area
         for s in trace.states:
-            assert s.area * math.exp(-s.t) == pytest.approx(a0, rel=1e-6)
+            assert s.area * math.exp(-s.t) == pytest.approx(a0, rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-3.0, -0.2), st.floats(0.05, 5.0), st.floats(0.5, 8.0))
+def test_area_law_and_mass_on_schwarzschild_slices(m, r0, t_end):
+    # the exact flow keeps A e^{-t} = A0 to rounding and m_H = m on a scalar-flat slice
+    trace = imcf_flow(ConformalSchwarzschildProfile(m), r0, t_end)
+    a0 = trace.states[0].area
+    assert trace.final().t == t_end and not trace.halted_at_horizon
+    for s in trace.states:
+        assert s.area * math.exp(-s.t) == pytest.approx(a0, rel=1e-12)
+        assert s.hawking == pytest.approx(m, abs=1e-9)
+
+
+def test_trace_has_n_evenly_spaced_states():
+    for n in (2, 7, 101, 400):
+        trace = imcf_flow(FlatProfile(), 1.0, 3.0, n=n)
+        assert len(trace.states) == n
+        ts = [s.t for s in trace.states]
+        assert ts[0] == 0.0 and ts[-1] == 3.0
+        assert ts == pytest.approx([3.0 * k / (n - 1) for k in range(n)], abs=1e-15)
 
 
 def test_states_strictly_increasing():
@@ -49,6 +72,22 @@ def test_flow_validates_inputs():
         imcf_flow(FlatProfile(), -1.0, 1.0)
     with pytest.raises(DomainError):
         imcf_flow(FlatProfile(), 1.0, 0.0)
+    with pytest.raises(ValidationError):
+        imcf_flow(FlatProfile(), 1.0, 1.0, n=1)
+    for t_end in (math.nan, 800.0):  # A0 e^800 overflows
+        with pytest.raises(DomainError):
+            imcf_flow(FlatProfile(), 1.0, t_end)
+
+
+def test_flow_past_bounded_domain_raises():
+    # A' > 0 up to r_max = 3: the flow leaves the domain before t_end
+    prof = CustomProfile(lambda r: FOUR_PI * r * r, lambda r: 2.0 * FOUR_PI * r,
+                         lambda r: 2.0 * FOUR_PI, r_min=0.0, r_max=3.0)
+    with pytest.raises(DomainError):
+        imcf_flow(prof, 1.0, 5.0)
+    for r_end in (math.e, 2.999):  # the second lies within 1/64 of the gap below r_max
+        trace = imcf_flow(prof, 1.0, 2.0 * math.log(r_end))
+        assert trace.final().r == pytest.approx(r_end, rel=1e-14)
 
 
 def test_flow_halts_at_horizon():
@@ -60,7 +99,10 @@ def test_flow_halts_at_horizon():
         r_min=0.0, r_max=4.0 * math.pi)
     trace = imcf_flow(prof, 3.5, 50.0)
     assert trace.halted_at_horizon
-    assert trace.final().r == pytest.approx(2.0 * math.pi, abs=1e-6)
+    assert len(trace.states) == 101
+    # the flow stops where A' = 0, at t_h = ln(A(2 pi) / A(3.5))
+    assert trace.final().r == pytest.approx(2.0 * math.pi, abs=1e-9)
+    assert trace.final().t == pytest.approx(math.log(3.0 / (2.0 + math.cos(3.5))), abs=1e-10)
 
 
 def test_geroch_no_violations_flat():

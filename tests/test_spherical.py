@@ -447,12 +447,14 @@ def test_tabulated_requires_endpoint_density():
         TabulatedProfile(rs, 4 * math.pi * rs ** 2)
 
 
-def test_import_keeps_scipy_interpolate_lazy():
-    # the tables are numpy-only; CubicSpline loads with the first tabulated profile
+def test_import_loads_no_scipy():
+    # the package and its CLI are numpy-only; CubicSpline loads with the first
+    # tabulated profile
     import negmass
 
     src = os.path.dirname(os.path.dirname(negmass.__file__))
-    code = "import sys, negmass; print('scipy.interpolate' in sys.modules)"
+    code = ("import sys, negmass, negmass.cli; "
+            "print([m for m in sys.modules if m.startswith('scipy')])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
