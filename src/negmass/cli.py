@@ -59,7 +59,7 @@ _SPECS: dict[str, dict[str, tuple]] = {
     },
     "spherical-report": {**_COMMON_PROFILE, "r0": (float, 1.0)},
     "imcf-flow": {**_COMMON_PROFILE, "r0": (float, REQUIRED),
-                  "t-end": (float, REQUIRED), "n": (int, 101)},
+                  "t-end": (float, REQUIRED)},
     "weyl-zv": {
         "m": (float, REQUIRED), "a": (float, 1.0), "radius": (float, 5.0),
         "rho": (float, 1e-3),
@@ -314,7 +314,7 @@ def _cmd_spherical_report(args):
 
 def _cmd_imcf_flow(args):
     profile = _profile_from_args(args)
-    trace = imcf.imcf_flow(profile, args.r0, args.t_end, args.n)
+    trace = imcf.imcf_flow(profile, args.r0, args.t_end)
     rows = [[s.t, s.r, s.area, s.mean_curvature, s.hawking]
             for s in trace.states]
     write_csv(args.out, ["t", "r", "area", "H", "m_H"], rows)

@@ -31,6 +31,8 @@ from .spherical import (RadialProfile, _newton, hawking_mass_sphere, radial_capa
 
 GEROCH_TOL = 1e-8  # absolute slack absorbing rounding noise in the Hawking masses
 SCAN_POINTS = 64  # radii per doubling of r when scanning for where the flow stops
+RESOLVE_TOL = 1e-6  # relative miss of A's rise by the integral of A' that forces resampling
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -71,15 +73,18 @@ def imcf_flow(profile: RadialProfile, r0: float, t_end: float, n: int = 101) -> 
     Each radius solves A(r) = A(r0) e^t by safeguarded Newton.  If A'
     falls to zero at r_h before A reaches A(r0) e^{t_end}, the times
     span [0, ln(A(r_h)/A(r0))] instead, the last state sits on r_h and
-    the trace is flagged 'halted_at_horizon'.  A flow that would leave
-    the profile's domain first raises DomainError.
+    the trace is flagged 'halted_at_horizon'; a zero where A' only
+    touches zero counts too.  A flow that would leave the profile's
+    domain first raises DomainError, and a profile whose A' the scan
+    cannot reconcile with A raises NumericalError.
     """
     if n < 2:
         raise ValidationError("the flow needs n >= 2 states")
     r0 = float(r0)
     if not (profile.r_min < r0 < profile.r_max):
         raise DomainError("r0 outside the profile domain")
-    A0, dA0, _ = profile.eval(r0)
+    start = profile.eval(r0)  # (A, A', A'') at r0
+    A0, dA0, _ = start
     if dA0 <= 0.0:
         raise DomainError("flow needs positive mean curvature at the start")
     if not t_end > 0.0:
@@ -89,7 +94,7 @@ def imcf_flow(profile: RadialProfile, r0: float, t_end: float, n: int = 101) -> 
     except OverflowError:
         raise DomainError(f"A(r0) e^t_end overflows at t_end = {t_end}") from None
 
-    rs, areas, halted = _scan(profile, r0, A0, target)
+    rs, areas, halted = _scan(profile, r0, start, target)
     t = np.linspace(0.0, math.log(areas[-1] / A0) if halted else t_end, n)
     r = np.empty(n)
     r[0] = r0
@@ -110,6 +115,9 @@ def imcf_flow(profile: RadialProfile, r0: float, t_end: float, n: int = 101) -> 
         r[-1] = rs[-1]
 
     A, dA, _ = profile.eval(r)
+    if (dA[:-1] <= 0.0).any():
+        raise NumericalError("A' <= 0 inside the flow: the profile has a feature "
+                             "narrower than the scan resolves")
     hawking = hawking_mass_sphere(profile, r)
     states = tuple(FlowState(*vals) for vals in
                    zip(t.tolist(), r.tolist(), A.tolist(), hawking.tolist(),
@@ -117,20 +125,26 @@ def imcf_flow(profile: RadialProfile, r0: float, t_end: float, n: int = 101) -> 
     return FlowTrace(states, tuple(_decreases(states, profile, GEROCH_TOL)), halted)
 
 
-def _scan(profile: RadialProfile, r0: float, A0: float, target: float):
+def _scan(profile: RadialProfile, r0: float, start: tuple, target: float):
     """Radii from r0 out to where the flow stops, with their areas.
 
     Scans outward in chunks of SCAN_POINTS radii, each chunk doubling r
     (or closing in on a finite r_max), until A reaches target or A'
-    drops to zero or below.  Returns (rs, areas, halted) with rs[0] = r0
-    and areas rising along rs.  The last radius either has A >= target
-    or, with halted set, is the horizon r_h, refined to rounding, with
+    drops to zero or below.  Between samples A' is watched two ways: an
+    interval whose rise in A disagrees with the integral of A' is
+    resampled (_unresolved), and an interval where A'' turns from
+    negative to nonnegative has its minimum of A' located; a minimum
+    that is zero to rounding, as at a tangential zero, is a horizon too.
+    Returns (rs, areas, halted) with rs[0] = r0 and A increasing on each
+    [rs[i], rs[i+1]].  The last radius either has A >= target or, with
+    halted set, is the horizon r_h, refined to rounding, with
     A(r_h) < target.
     """
-    rs, areas = [[r0]], [[A0]]
+    rs, areas = [], []
+    pts = tuple(np.array([v], dtype=float) for v in (r0, *start))
     frac = np.arange(1, SCAN_POINTS + 1) / SCAN_POINTS
-    r = r0
     while True:
+        r = pts[0][-1]
         end = min(r + (r if r > 0.0 else 1.0), profile.r_max)
         if not math.isfinite(end):
             raise DomainError("the flow escapes to infinity before t_end")
@@ -138,25 +152,78 @@ def _scan(profile: RadialProfile, r0: float, A0: float, target: float):
         chunk = chunk[(chunk > r) & (chunk < profile.r_max)]
         if not chunk.size:
             raise DomainError(f"the flow reaches r_max = {profile.r_max} before t_end")
-        A, dA, _ = profile.eval(chunk)
-        if not (np.isfinite(A).all() and np.isfinite(dA).all()):
-            raise NumericalError(f"non-finite area on the flow beyond r = {r}")
-        stop = (A >= target) | (dA <= 0.0)
+        pts = _insert([p[-1:] for p in pts], 1, chunk, profile)
+        while True:  # resample the first unresolved interval up to the first stop
+            x, A, dA, d2A = pts
+            stop = (A[1:] >= target) | (dA[1:] <= 0.0)
+            last = int(np.argmax(stop)) if stop.any() else stop.size - 1
+            coarse = _unresolved(*(p[:last + 2] for p in pts))
+            if not coarse.any():
+                break
+            k = int(np.argmax(coarse))
+            if x[k + 1] - x[k] <= x[k] / SCAN_POINTS ** 5:  # resampled four times over
+                raise NumericalError(f"A' disagrees with A near r = {x[k]}: the profile "
+                                     "is too rough to follow the flow")
+            pts = _insert(pts, k + 1, x[k] + (x[k + 1] - x[k]) * frac[:-1], profile)
+        dips = np.flatnonzero((d2A[:last + 1] < 0.0) & (d2A[1:last + 2] >= 0.0))
+        if dips.size:
+            m, A_m, dA_m = _slope_minima(profile, x[dips], x[dips + 1])
+            flat = dA_m <= 16.0 * _EPS * A_m / m
+            if flat.any():
+                i = int(np.argmax(flat))
+                k = dips[i]
+                r_h = m[i] if dA_m[i] >= 0.0 else _horizon(profile, x[k], m[i])
+                return _halt(rs + [x[:k + 1]], areas + [A[:k + 1]], r_h, profile, target)
         if stop.any():
+            if dA[last + 1] > 0.0:
+                return (np.concatenate(rs + [x[:last + 2]]),
+                        np.concatenate(areas + [A[:last + 2]]), False)
+            r_h = x[last + 1] if dA[last + 1] == 0.0 else _horizon(profile, x[last], x[last + 1])
+            return _halt(rs + [x[:last + 1]], areas + [A[:last + 1]], r_h, profile, target)
+        rs.append(x[:-1])
+        areas.append(A[:-1])
+
+
+def _insert(pts, k: int, xs: np.ndarray, profile: RadialProfile):
+    """The sampled (r, A, A', A'') arrays with the radii xs and their values put in at k."""
+    vals = profile.eval(xs)
+    if not all(np.isfinite(v).all() for v in vals):
+        raise NumericalError(f"non-finite area on the flow between r = {xs[0]} and {xs[-1]}")
+    return tuple(np.insert(p, k, v) for p, v in zip(pts, (xs, *vals)))
+
+
+def _unresolved(x, A, dA, d2A) -> np.ndarray:
+    """Intervals where the rise of A misses the integral of A' beyond RESOLVE_TOL.
+
+    The integral is the trapezoid rule with its A'' end correction
+    (Euler-Maclaurin), exact to O(h^5) where A' is smooth.  A dip of A'
+    that falls between two samples shows up as a gap of about its area.
+    """
+    h = np.diff(x)
+    rise = np.diff(A)
+    gap = rise - 0.5 * h * (dA[:-1] + dA[1:]) + h * h / 12.0 * (d2A[1:] - d2A[:-1])
+    scale = 0.5 * h * (np.abs(dA[:-1]) + np.abs(dA[1:]))
+    return np.abs(gap) > RESOLVE_TOL * scale + 16.0 * _EPS * np.abs(A[1:])
+
+
+def _slope_minima(profile: RadialProfile, lo: np.ndarray, hi: np.ndarray):
+    """(r, A, A') where A' is least in each (lo, hi), given A''(lo) < 0 <= A''(hi).
+
+    Bisection on the sign of A'' down to rounding.
+    """
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        A, dA, d2A = profile.eval(mid)
+        if (hi - lo <= 4.0 * _EPS * hi).all():
             break
-        rs.append(chunk)
-        areas.append(A)
-        r = chunk[-1]
-    j = int(np.argmax(stop))
-    if dA[j] > 0.0:
-        r_last, A_last, halted = chunk[j], A[j], False
-    else:
-        r_last = _horizon(profile, chunk[j - 1] if j else r, chunk[j])
-        A_last = profile.area(r_last)
-        halted = A_last < target
-    rs += [chunk[:j], [r_last]]
-    areas += [A[:j], [A_last]]
-    return np.concatenate(rs), np.concatenate(areas), halted
+        lo, hi = np.where(d2A < 0.0, mid, lo), np.where(d2A < 0.0, hi, mid)
+    return mid, A, dA
+
+
+def _halt(rs: list, areas: list, r_h: float, profile: RadialProfile, target: float):
+    """Close a scan on the horizon r_h: (rs, areas, halted)."""
+    A_h = profile.area(float(r_h))
+    return np.concatenate(rs + [[r_h]]), np.concatenate(areas + [[A_h]]), A_h < target
 
 
 def _horizon(profile: RadialProfile, lo: float, hi: float) -> float:

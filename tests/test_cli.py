@@ -141,12 +141,6 @@ def test_cli_imcf_flow(tmp_path):
     final_area = rows[-1][2]
     assert final_area == pytest.approx(4 * math.pi * math.e ** 2, rel=1e-6)
     assert len(rows) == 101
-    assert run(["imcf-flow", "--profile", "flat", "--r0", "1", "--t-end", "2",
-                "--n", "7", "--out", str(out)]) == 0
-    _, rows = read_csv(out)
-    assert len(rows) == 7
-    assert run(["imcf-flow", "--profile", "flat", "--r0", "1", "--t-end", "2",
-                "--n", "1", "--out", str(out)]) == 2
 
 
 def test_cli_critical_and_caustics(tmp_path):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from negmass.errors import DomainError, ValidationError
+from negmass.errors import DomainError, NumericalError, ValidationError
 from negmass.imcf import (capacity_energy_bound, geroch_report, imcf_flow,
                           verify_capacity_bound)
 from negmass.spherical import (ConformalSchwarzschildProfile, CustomProfile,
@@ -103,6 +103,70 @@ def test_flow_halts_at_horizon():
     # the flow stops where A' = 0, at t_h = ln(A(2 pi) / A(3.5))
     assert trace.final().r == pytest.approx(2.0 * math.pi, abs=1e-9)
     assert trace.final().t == pytest.approx(math.log(3.0 / (2.0 + math.cos(3.5))), abs=1e-10)
+
+
+def test_flow_halts_at_tangential_horizon():
+    # A = 4 pi (1 + (r - 2)^3): A' = 12 pi (r - 2)^2 touches zero at r = 2 and
+    # rises again; no scan radius lands on it, and A' stays positive at all of them
+    prof = CustomProfile(lambda r: FOUR_PI * (1.0 + (r - 2.0) ** 3),
+                         lambda r: 3.0 * FOUR_PI * (r - 2.0) ** 2,
+                         lambda r: 6.0 * FOUR_PI * (r - 2.0), r_min=1.0)
+    trace = imcf_flow(prof, 1.5, 5.0)
+    assert trace.halted_at_horizon
+    assert trace.final().r == pytest.approx(2.0, abs=1e-12)
+    assert trace.final().t == pytest.approx(math.log(8.0 / 7.0), abs=1e-12)
+
+
+def test_flow_passes_positive_minimum_of_slope():
+    # the same cubic with A' >= 4 pi 1e-4: a shallow minimum is no horizon
+    prof = CustomProfile(lambda r: FOUR_PI * (1.0 + (r - 2.0) ** 3 + 1e-4 * r),
+                         lambda r: FOUR_PI * (3.0 * (r - 2.0) ** 2 + 1e-4),
+                         lambda r: 6.0 * FOUR_PI * (r - 2.0), r_min=1.0)
+    trace = imcf_flow(prof, 1.5, 3.0)
+    assert not trace.halted_at_horizon and trace.final().t == 3.0
+    a0 = trace.states[0].area
+    for s in trace.states:
+        assert s.area * math.exp(-s.t) == pytest.approx(a0, rel=1e-12)
+
+
+def test_flow_halts_at_dip_between_scan_radii():
+    # A = r + 0.005 sin(402 (r - 1)): the oscillation of A' has nearly the scan
+    # spacing r/64, so every scan radius sees A' ~ 3 while A' < 0 in between
+    w = 402.0
+    prof = CustomProfile(lambda r: r + 0.005 * math.sin(w * (r - 1.0)),
+                         lambda r: 1.0 + 0.005 * w * math.cos(w * (r - 1.0)),
+                         lambda r: -0.005 * w * w * math.sin(w * (r - 1.0)), r_min=0.5)
+    phase = math.acos(-1.0 / (0.005 * w))  # first zero of A'
+    trace = imcf_flow(prof, 1.0, 5.0)
+    assert trace.halted_at_horizon
+    assert trace.final().r == pytest.approx(1.0 + phase / w, abs=1e-12)
+    assert all(s.mean_curvature > 0.0 for s in trace.states[:-1])
+
+
+@pytest.mark.parametrize("width", [1e-3, 1e-5, 1e-7])
+def test_flow_halts_at_narrow_dip(width):
+    # A' = 1 - 3 exp(-((r - 1.3)/width)^2) dips below zero far inside one scan interval
+    def area(r):
+        return r - 1.5 * width * math.sqrt(math.pi) * math.erf((r - 1.3) / width)
+
+    def slope(r):
+        return 1.0 - 3.0 * math.exp(-(((r - 1.3) / width) ** 2))
+
+    def curve(r):
+        return 6.0 * (r - 1.3) / width ** 2 * math.exp(-(((r - 1.3) / width) ** 2))
+
+    trace = imcf_flow(CustomProfile(area, slope, curve, r_min=0.5), 1.0, 5.0)
+    assert trace.halted_at_horizon
+    r_h = 1.3 - width * math.sqrt(math.log(3.0))
+    assert trace.final().r == pytest.approx(r_h, abs=1e-12)
+
+
+def test_flow_rejects_slope_that_contradicts_area():
+    # d_area is twice the derivative of area: no resampling reconciles them
+    prof = CustomProfile(lambda r: FOUR_PI * r * r, lambda r: 4.0 * FOUR_PI * r,
+                         lambda r: 4.0 * FOUR_PI)
+    with pytest.raises(NumericalError):
+        imcf_flow(prof, 1.0, 2.0)
 
 
 def test_geroch_no_violations_flat():
