@@ -26,7 +26,6 @@ import numpy as np
 from .errors import (BoundaryRegimeError, DegenerateKappaError, DomainError,
                      NumericalError, ValidationError)
 from .lens import LensModel, _rotated_out_of_frame, find_images, lens_map
-from .numerics import bisect_root
 
 GAP_TOL = 1e-9  # |e^{-i phi} - gamma*| below this is a parametrization gap
 
@@ -160,24 +159,27 @@ def caustic_curve(reduced: ReducedLens, model: LensModel,
     return critical_curve(reduced, n_samples, model=model)
 
 
-def re_w3(phi: float, gstar: float) -> float:
-    """Re(w^3) for w = 1 - gamma* e^{-i phi}; decides which eps hosts the cusp."""
-    c = math.cos(phi)
+def re_w3(phi, gstar: float):
+    """Re(w^3) for w = 1 - gamma* e^{-i phi}, elementwise in phi.
+
+    Its sign decides which eps hosts the cusp.
+    """
+    c = np.cos(phi)
     g = gstar
     return -4.0 * g ** 3 * c ** 3 + 6.0 * g * g * c * c + (3.0 * g ** 3 - 3.0 * g) * c \
         + 1.0 - 3.0 * g * g
 
 
-def im_w3(phi: float, gstar: float) -> float:
+def im_w3(phi, gstar: float):
     """Im(w^3) = gamma* sin(phi) [4 gamma*^2 cos^2 phi - 6 gamma* cos phi + 3 - gamma*^2].
 
-    Its zeros are the candidate cusp angles.  (The constant term is
-    3 - gamma*^2; the variant with 4 - gamma*^2 does not reproduce the
-    closed-form roots and is kept out deliberately.)
+    Elementwise in phi.  Its zeros are the candidate cusp angles.  (The
+    constant term is 3 - gamma*^2; the variant with 4 - gamma*^2 does not
+    reproduce the closed-form roots and is kept out deliberately.)
     """
-    c = math.cos(phi)
+    c = np.cos(phi)
     g = gstar
-    return g * math.sin(phi) * (4.0 * g * g * c * c - 6.0 * g * c + 3.0 - g * g)
+    return g * np.sin(phi) * (4.0 * g * g * c * c - 6.0 * g * c + 3.0 - g * g)
 
 
 def shear_regime(gstar: float) -> str:
@@ -259,36 +261,34 @@ def cusp_angles(reduced: ReducedLens) -> CuspSet:
 def scan_cusps(reduced: ReducedLens, resolution: int = 10 ** 4) -> list[float]:
     """Locate cusps from the numerical condition alone (no closed form).
 
-    Scans Im(w^3) for sign changes on a uniform phi grid, refines each
-    bracket by bisection, and keeps the angles whose Re(w^3) has sign
-    opposite to eps.  Used to cross-validate cusp_angles.
+    Evaluates Im(w^3) on a uniform phi grid in one array call, refines
+    all sign-change brackets together by bisection, and keeps the angles
+    whose Re(w^3) has sign opposite to eps.  Used to cross-validate
+    cusp_angles.
     """
     g = reduced.gamma_star
     if g == 0.0:
         return []
-    phis = np.linspace(0.0, 2.0 * math.pi, resolution, endpoint=False)
-    vals = np.array([im_w3(p, g) for p in phis])
-    found: list[float] = []
     two_pi = 2.0 * math.pi
-    for i in range(resolution):
-        j = (i + 1) % resolution
-        a, b = vals[i], vals[j]
-        lo = phis[i]
-        hi = phis[i] + two_pi / resolution
-        root = None
-        if a == 0.0:
-            root = lo
-        elif a * b < 0.0:
-            root = bisect_root(lambda p: im_w3(p % two_pi, g), lo, hi)
-        if root is None:
-            continue
-        root %= two_pi
-        re = re_w3(root, g)
-        if re != 0.0 and (re > 0) != (reduced.eps_kappa > 0):
-            if all(abs(root - r) > 1e-6 and abs(abs(root - r) - two_pi) > 1e-6
-                   for r in found):
-                found.append(root)
-    return sorted(found)
+    phis = np.linspace(0.0, two_pi, resolution, endpoint=False)
+    vals = im_w3(phis, g)
+    bracket = vals * np.roll(vals, -1) < 0.0
+    lo, flo = phis[bracket], vals[bracket]
+    hi = lo + two_pi / resolution
+    while (hi - lo > 1e-13 * np.maximum(1.0, hi)).any():
+        mid = 0.5 * (lo + hi)
+        fmid = im_w3(mid, g)
+        left = flo * fmid <= 0.0  # the sign change lies in [lo, mid]
+        lo, flo = np.where(left, lo, mid), np.where(left, flo, fmid)
+        hi = np.where(left, mid, hi)
+    roots = np.sort(np.concatenate((phis[vals == 0.0], 0.5 * (lo + hi) % two_pi)))
+    re = re_w3(roots, g)
+    found: list[float] = []
+    for root in roots[(re != 0.0) & ((re > 0) != (reduced.eps_kappa > 0))].tolist():
+        if all(abs(root - r) > 1e-6 and abs(abs(root - r) - two_pi) > 1e-6
+               for r in found):
+            found.append(root)
+    return found
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,11 @@ _COMMON_PROFILE = {
     "file": (str, OPTIONAL),
 }
 
+_CURVE = {
+    "m": (float, REQUIRED), "kappa": (float, 0.0), "gamma": (float, 0.0),
+    "samples": (int, 720),
+}
+
 _SPECS: dict[str, dict[str, tuple]] = {
     "lens-images": {
         "m": (float, REQUIRED), "kappa": (float, 0.0), "gamma": (float, 0.0),
@@ -42,14 +47,8 @@ _SPECS: dict[str, dict[str, tuple]] = {
         "m": (float, REQUIRED), "d": (float, REQUIRED), "t0": (float, -5.0),
         "t1": (float, 5.0), "n": (int, 101),
     },
-    "lens-critical": {
-        "m": (float, REQUIRED), "kappa": (float, 0.0), "gamma": (float, 0.0),
-        "samples": (int, 720),
-    },
-    "lens-caustics": {
-        "m": (float, REQUIRED), "kappa": (float, 0.0), "gamma": (float, 0.0),
-        "samples": (int, 720),
-    },
+    "lens-critical": _CURVE,
+    "lens-caustics": _CURVE,
     "lens-cusps": {
         "m": (float, REQUIRED), "kappa": (float, 0.0), "gamma": (float, 0.0),
     },
@@ -183,65 +182,33 @@ def _cmd_lens_lightcurve(args):
                  args.svg, title="light curve", x_label="t", y_label="mu")
 
 
-def _curve_rows(samples, attr_plus, attr_minus):
-    rows = []
-    for s in samples:
-        if s.gap:
-            rows.append([s.phi, None, None, None, None])
-            continue
-        zp = getattr(s, attr_plus)
-        zm = getattr(s, attr_minus)
-        rows.append([s.phi, *_re_im(zp), *_re_im(zm)])
-    return rows
-
-
-def _cmd_lens_critical(args):
+def _cmd_lens_curve(args):
+    """lens-critical writes the critical curve z, lens-caustics its image y."""
+    caustic = args.command == "lens-caustics"
+    p = "y" if caustic else "z"
     model = lens.LensModel(args.m, args.kappa, args.gamma)
     if model.kappa == 1.0:
         pts = caustics.critical_points_kappa1(model.m, model.gamma)
+        if caustic:
+            pts = [lens.lens_map(z, model) for z in pts]
         rows = [[None, *_re_im(pts[0]), *_re_im(pts[1])]] if pts else []
-        write_csv(args.out, ["phi", "zp1", "zp2", "zm1", "zm2"], rows)
-        series = [Series([p.real for p in pts], [p.imag for p in pts])]
+        series = [Series([q.real for q in pts], [q.imag for q in pts])]
     else:
-        samples = caustics.critical_curve(caustics.reduce(model), args.samples)
-        write_csv(args.out, ["phi", "zp1", "zp2", "zm1", "zm2"],
-                  _curve_rows(samples, "z_plus", "z_minus"))
-        series = [
-            Series([s.z_plus.real if not s.gap else None for s in samples],
-                   [s.z_plus.imag if not s.gap else None for s in samples],
-                   label="z+"),
-            Series([s.z_minus.real if not s.gap else None for s in samples],
-                   [s.z_minus.imag if not s.gap else None for s in samples],
-                   label="z-"),
-        ]
+        red = caustics.reduce(model)
+        samples = (caustics.caustic_curve(red, model, args.samples) if caustic
+                   else caustics.critical_curve(red, args.samples))
+        plus = [None if s.gap else getattr(s, f"{p}_plus") for s in samples]
+        minus = [None if s.gap else getattr(s, f"{p}_minus") for s in samples]
+        rows = [[s.phi, None, None, None, None] if s.gap else [s.phi, *_re_im(a), *_re_im(b)]
+                for s, a, b in zip(samples, plus, minus)]
+        series = [Series([None if q is None else q.real for q in branch],
+                         [None if q is None else q.imag for q in branch], label=p + sign)
+                  for branch, sign in ((plus, "+"), (minus, "-"))]
+    write_csv(args.out, ["phi", f"{p}p1", f"{p}p2", f"{p}m1", f"{p}m2"], rows)
     if args.svg:
-        emit_svg(series, args.svg, title="critical curves",
-                 equal_aspect=True, x_label="x1", y_label="x2")
-
-
-def _cmd_lens_caustics(args):
-    model = lens.LensModel(args.m, args.kappa, args.gamma)
-    if model.kappa == 1.0:
-        pts = [lens.lens_map(z, model)
-               for z in caustics.critical_points_kappa1(model.m, model.gamma)]
-        rows = [[None, *_re_im(pts[0]), *_re_im(pts[1])]] if pts else []
-        write_csv(args.out, ["phi", "yp1", "yp2", "ym1", "ym2"], rows)
-        series = [Series([p.real for p in pts], [p.imag for p in pts])]
-    else:
-        samples = caustics.caustic_curve(caustics.reduce(model), model, args.samples)
-        write_csv(args.out, ["phi", "yp1", "yp2", "ym1", "ym2"],
-                  _curve_rows(samples, "y_plus", "y_minus"))
-        series = [
-            Series([s.y_plus.real if not s.gap else None for s in samples],
-                   [s.y_plus.imag if not s.gap else None for s in samples],
-                   label="y+"),
-            Series([s.y_minus.real if not s.gap else None for s in samples],
-                   [s.y_minus.imag if not s.gap else None for s in samples],
-                   label="y-"),
-        ]
-    if args.svg:
-        emit_svg(series, args.svg, title="caustics",
-                 equal_aspect=True, x_label="y1", y_label="y2")
+        axis = "y" if caustic else "x"
+        emit_svg(series, args.svg, title="caustics" if caustic else "critical curves",
+                 equal_aspect=True, x_label=f"{axis}1", y_label=f"{axis}2")
 
 
 def _cmd_lens_cusps(args):
@@ -361,8 +328,8 @@ def _cmd_weyl_zv(args):
 _DISPATCH = {
     "lens-images": _cmd_lens_images,
     "lens-lightcurve": _cmd_lens_lightcurve,
-    "lens-critical": _cmd_lens_critical,
-    "lens-caustics": _cmd_lens_caustics,
+    "lens-critical": _cmd_lens_curve,
+    "lens-caustics": _cmd_lens_curve,
     "lens-cusps": _cmd_lens_cusps,
     "lens-survey": _cmd_lens_survey,
     "spherical-report": _cmd_spherical_report,

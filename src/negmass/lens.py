@@ -21,8 +21,9 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, SingularPointError, ValidationError
-from .numerics import durand_kerner
 
 RESIDUAL_TOL = 1e-9          # spurious-root rejection on |eta(z) - y|
 CENTER_TOL = 1e-12           # roots this close to the lens center are dropped
@@ -325,10 +326,12 @@ def find_images(y, model: LensModel) -> ImageSet:
     """All images of a source at y under the combined lens map.
 
     The conjugate equation is eliminated analytically to a complex
-    polynomial of degree <= 4, whose roots (simultaneous iteration) seed
-    a Newton polish on the real system.  Roots with lens-equation
-    residual above 1e-9, or within 1e-12 of the lens center, are
-    discarded.  Images come back sorted by |z| descending.
+    polynomial of degree <= 4.  Leading coefficients below 1e-14 of the
+    largest (or of 1) are trimmed, and the roots of what remains
+    (companion-matrix eigenvalues, ``np.roots``) seed a Newton polish on
+    the real system.  Roots with lens-equation residual above 1e-9, or
+    within 1e-12 of the lens center, are discarded.  Images come back
+    sorted by |z| descending.
 
     kappa = 1 with gamma = 0 leaves no polynomial to solve; that case
     falls back to Newton from a grid of starts and flags the result.
@@ -354,8 +357,10 @@ def find_images(y, model: LensModel) -> ImageSet:
         images = _collect_images(starts, y0, base)
     else:
         coeffs = _image_polynomial(y0, model.m, model.kappa, model.gamma)
-        roots = durand_kerner(coeffs)
-        images = _collect_images(roots, y0, base)
+        tiny = 1e-14 * max(1.0, *map(abs, coeffs))
+        while coeffs and abs(coeffs[0]) <= tiny:
+            coeffs.pop(0)
+        images = _collect_images([complex(z) for z in np.roots(coeffs)], y0, base)
 
     if model.theta != 0.0:
         images = [ImageSolution(_rotated_out_of_frame(im.position, model),

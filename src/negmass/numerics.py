@@ -1,4 +1,4 @@
-"""Shared numerical kernels: quadrature, polynomial roots, limit extraction.
+"""Shared numerical kernels: quadrature and limit extraction.
 
 Everything here is deterministic and dependency-light; the rest of the
 package builds its integrals and extrapolated limits on these routines.
@@ -110,52 +110,6 @@ def dyadic_gauss(f, lo: float, hi: float, inner: float, n: int = 24,
     return fine
 
 
-def durand_kerner(coeffs, tol: float = 1e-14, max_iter: int = 500):
-    """All complex roots of a polynomial by simultaneous iteration.
-
-    ``coeffs`` are highest-degree first.  Leading coefficients that are
-    negligible against the largest one are trimmed, so the effective
-    degree may be lower than len(coeffs) - 1.
-    """
-    coeffs = [complex(c) for c in coeffs]
-    big = max(abs(c) for c in coeffs) if coeffs else 0.0
-    while coeffs and abs(coeffs[0]) <= 1e-14 * max(big, 1.0):
-        coeffs.pop(0)
-    n = len(coeffs) - 1
-    if n < 1:
-        return []
-    lead = coeffs[0]
-    monic = [c / lead for c in coeffs]
-    radius = 1.0 + max(abs(c) for c in monic[1:])
-    seed = 0.4 + 0.9j
-    roots = [radius * seed ** (k + 1) for k in range(n)]
-
-    def poly(z):
-        acc = monic[0]
-        for c in monic[1:]:
-            acc = acc * z + c
-        return acc
-
-    for _ in range(max_iter):
-        shift = 0.0
-        new_roots = list(roots)
-        for i in range(n):
-            z = new_roots[i]
-            denom = 1.0 + 0.0j
-            for j in range(n):
-                if j != i:
-                    denom *= (z - new_roots[j])
-            if denom == 0:
-                denom = 1e-30
-            step = poly(z) / denom
-            new_roots[i] = z - step
-            shift = max(shift, abs(step))
-        roots = new_roots
-        if shift < tol * max(1.0, radius):
-            break
-    return roots
-
-
 def richardson_decay(values):
     """Extrapolate f(R), f(2R), f(4R), f(8R) to R -> inf.
 
@@ -225,25 +179,3 @@ def limit_smallstep(values, diverged=None):
         fac = 2.0 ** q
         v = [(fac * v[i + 1] - v[i]) / (fac - 1.0) for i in range(len(v) - 1)]
     return v[-1]
-
-
-def bisect_root(f, lo: float, hi: float, tol: float = 1e-13,
-                max_iter: int = 200) -> float:
-    """Plain bisection; f(lo) and f(hi) must straddle zero."""
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
-        raise NumericalError("bisect_root: endpoints do not bracket a root")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0 or hi - lo < tol * max(1.0, abs(mid)):
-            return mid
-        if flo * fm < 0:
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)

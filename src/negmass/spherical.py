@@ -49,18 +49,23 @@ def _newton(fun, x, lo, hi):
     """Elementwise root of an increasing fun on arrays, bracketed by 0 < lo <= x <= hi.
 
     fun(x) returns (value, slope).  A Newton step that leaves the bracket
-    is replaced by bisection.  Stops once every step is below 1e-9 of x:
-    quadratic convergence then leaves the result at rounding level.
+    is replaced by bisection.  Stops once every step s is below 1e-9 of x
+    and either below 1e-4 of the step before it or at rounding level
+    (1e-15 x).  Quadratic convergence leaves an error of about
+    s^3 / s_prev^2 <= 1e-8 s; a bare 1e-9 x test would leave s^2 / w on a
+    feature of width w, short of rounding level when w is narrow.
     """
+    prev = 0.0
     for _ in range(60):
         val, slope = fun(x)
         lo = np.where(val < 0.0, x, lo)
         hi = np.where(val > 0.0, x, hi)
         new = x - val / slope
         new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
-        if (np.abs(new - x) <= 1e-9 * new).all():
+        step = np.abs(new - x)
+        if ((step <= 1e-9 * new) & ((step <= 1e-4 * prev) | (step <= 1e-15 * new))).all():
             return new
-        x = new
+        x, prev = new, step
     raise NonConvergenceError("safeguarded Newton iteration did not converge")
 
 

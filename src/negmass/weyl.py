@@ -207,7 +207,7 @@ def adm_flux(zv: ZVModel, radius: float, n_nodes: int = 64) -> float:
     return integral / (4.0 * math.pi)
 
 
-def cylinder_area(zv: ZVModel, rho: float, rel_tol: float = 1e-8) -> float:
+def cylinder_area(zv: ZVModel, rho: float) -> float:
     """Area 2 pi rho int_-a^a e^{mu - 2 lam} dz of the rho-cylinder around the rod.
 
     The integrand develops boundary layers of width ~rho at z = +-a, so
@@ -221,7 +221,7 @@ def cylinder_area(zv: ZVModel, rho: float, rel_tol: float = 1e-8) -> float:
         return np.exp(mu - 2.0 * lam)
 
     inner = min(1e-3 * rho, 1e-3 * zv.a)
-    val = dyadic_gauss(f, -zv.a, zv.a, inner, n=24, rel_tol=rel_tol)
+    val = dyadic_gauss(f, -zv.a, zv.a, inner, n=24)
     return 2.0 * math.pi * rho * val
 
 
@@ -283,8 +283,7 @@ def level_set_mass_integrand(zv: ZVModel, rho: float, z: float, L: float) -> flo
             * grad2 ** (2.0 / 3.0))
 
 
-def level_set_energy(zv: ZVModel, rho: float, L: float | None = None,
-                     rel_tol: float = 1e-8) -> float:
+def level_set_energy(zv: ZVModel, rho: float, L: float | None = None) -> float:
     """Mass integral E(rho) = closed-int nu(h)^{4/3} dA over the rho-cylinder.
 
     dA = rho e^{mu - 2 lam} dtheta dz on the cylinder.  When L is None
@@ -308,7 +307,7 @@ def level_set_energy(zv: ZVModel, rho: float, L: float | None = None,
         return nu43 * np.exp(mu - 2.0 * lam)
 
     inner = min(1e-3 * rho, 1e-3 * zv.a)
-    val = dyadic_gauss(f, -zv.a, zv.a, inner, n=24, rel_tol=rel_tol)
+    val = dyadic_gauss(f, -zv.a, zv.a, inner, n=24)
     return 2.0 * math.pi * rho * val
 
 

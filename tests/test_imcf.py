@@ -158,7 +158,7 @@ def test_flow_halts_at_narrow_dip(width):
     trace = imcf_flow(CustomProfile(area, slope, curve, r_min=0.5), 1.0, 5.0)
     assert trace.halted_at_horizon
     r_h = 1.3 - width * math.sqrt(math.log(3.0))
-    assert trace.final().r == pytest.approx(r_h, abs=1e-12)
+    assert trace.final().r == pytest.approx(r_h, abs=1e-15)
 
 
 def test_flow_rejects_slope_that_contradicts_area():

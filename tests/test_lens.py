@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from negmass.errors import DomainError, SingularPointError, ValidationError
@@ -199,6 +199,80 @@ def test_find_images_degenerate_linear_part():
     expect = (-model.m / y).conjugate()
     assert len(result) == 1
     assert result[0].position == pytest.approx(expect, abs=1e-10)
+
+
+def test_find_images_without_shear_drops_quartic_term():
+    # gamma = 0: the quartic coefficient vanishes and the cubic keeps a root
+    # at z = 0, which is no image.  Images lie on the ray of y at
+    # x = (|y| +/- sqrt(|y|^2 + 4 (1 - kappa) m)) / (2 (1 - kappa)).
+    m = -1.0
+    for kappa, y, count in ((0.5, 2.0 + 0.5j, 2), (0.5, 0.3 - 0.2j, 0), (2.0, 0.7 + 0.3j, 2)):
+        model = LensModel(m, kappa, 0.0)
+        found = find_images(y, model)
+        assert len(found) == count
+        u, r = 1.0 - kappa, abs(y)
+        root = math.sqrt(r * r + 4.0 * u * m) if count else 0.0
+        for x in ((r + root) / (2.0 * u), (r - root) / (2.0 * u))[:count]:
+            assert min(abs(im.position - x * y / r) for im in found) <= 1e-12
+        for im in found:
+            assert abs(lens_map(im.position, model) - y) <= 1e-9
+
+
+def test_find_images_when_quartic_term_cancels():
+    # gamma = |1 - kappa| (gamma* = 1) cancels the quartic coefficient up to
+    # rounding: 1 - 0.7 is 0.30000000000000004, so it is -8e-18, not 0.
+    # kappa = 0.7, m = -1: eta = 0.6 x1 + z/|z|^2, so a real y = a has the two
+    # images 0.6 x^2 - a x + 1 = 0, and y = 0.5i the one image 2i.
+    # kappa = 1.3: eta = z/|z|^2 - 0.6 i x2; a real y = a has x = 1/a, plus
+    # the two points of |z|^2 = 1/0.6 with x1 = a/0.6 when |a| <= sqrt(0.6).
+    for kappa, y, count in ((0.7, 3.0, 2), (0.7, 0.5j, 1), (0.7, 3.0 + 0.01j, 3),
+                            (1.3, 3.0, 1), (1.3, 0.5, 3), (1.3, 2.0, 1)):
+        model = LensModel(-1.0, kappa, 0.3)
+        found = find_images(y, model)
+        assert len(found) == count
+        for im in found:
+            assert abs(lens_map(im.position, model) - y) <= 1e-9
+
+
+def _potential_jacobian(z: complex, model: LensModel) -> float:
+    """det(I - Hessian of psi), from the second derivatives of the potential."""
+    x1, x2 = z.real, z.imag
+    r4 = (x1 * x1 + x2 * x2) ** 2
+    c, s = math.cos(2 * model.theta), math.sin(2 * model.theta)
+    p11 = model.kappa - model.gamma * c + model.m * (x2 * x2 - x1 * x1) / r4
+    p22 = model.kappa + model.gamma * c + model.m * (x1 * x1 - x2 * x2) / r4
+    p12 = -model.gamma * s - 2.0 * model.m * x1 * x2 / r4
+    return (1.0 - p11) * (1.0 - p22) - p12 * p12
+
+
+def _caustic_clearance(y: complex, model: LensModel, n: int = 1 << 14) -> float:
+    """Distance from y to the closed-form caustic, less one sample step."""
+    u = 1.0 - model.kappa
+    phi = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    z = 1j * np.sqrt(abs(model.m / u) / (np.exp(-1j * phi) - model.gamma / abs(u)))
+    z = z * cmath.exp(1j * model.theta)
+    caustic = u * z + model.gamma * cmath.exp(2j * model.theta) * z.conj() - model.m / z.conj()
+    # the other branch is -caustic; a square-root branch switch swaps the two
+    step = np.minimum(np.abs(np.diff(caustic)), np.abs(caustic[1:] + caustic[:-1])).max()
+    return min(np.abs(caustic - y).min(), np.abs(caustic + y).min()) - step
+
+
+_AWAY_FROM_ONE = st.one_of(st.floats(0.0, 0.9), st.floats(1.1, 2.5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(-2.0, -0.2), _AWAY_FROM_ONE, _AWAY_FROM_ONE, st.floats(0.0, 3.1),
+       st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+def test_images_solve_lens_equation_with_unit_mu_j(m, kappa, gstar, theta, y1, y2):
+    model = LensModel(m, kappa, gstar * abs(1.0 - kappa), theta)
+    y = complex(y1, y2)
+    assume(_caustic_clearance(y, model) >= 1e-3)
+    found = find_images(y, model)
+    assert len(found) % 2 == 0
+    for im in found:
+        assert abs(lens_map(im.position, model) - y) <= 1e-9
+        assert im.signed_magnification * _potential_jacobian(im.position, model) == \
+            pytest.approx(1.0, rel=1e-9)
 
 
 def test_find_images_zero_mass_identity():

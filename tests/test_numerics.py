@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from negmass.errors import NonConvergenceError, NumericalError
-from negmass.numerics import (bisect_root, durand_kerner, dyadic_gauss, gauss_panel,
-                              limit_smallstep, richardson_decay, tail_integral)
+from negmass.numerics import (dyadic_gauss, gauss_panel, limit_smallstep, richardson_decay,
+                              tail_integral)
 
 
 def test_tail_integral_inverse_square():
@@ -50,36 +50,6 @@ def test_dyadic_gauss_boundary_layer():
     assert val == pytest.approx(exact, rel=1e-9)
 
 
-def test_durand_kerner_quartic():
-    # (z-1)(z+2)(z-3i)(z+1+i)
-    roots_true = [1.0, -2.0, 3.0j, -1.0 - 1.0j]
-    coeffs = np.polynomial.polynomial.polyfromroots(roots_true)[::-1]
-    roots = durand_kerner(list(coeffs))
-    assert len(roots) == 4
-    for rt in roots_true:
-        assert min(abs(r - rt) for r in roots) < 1e-10
-
-
-def test_durand_kerner_against_numpy_roots():
-    rng = np.random.default_rng(19)
-    for _ in range(100):
-        deg = int(rng.integers(2, 5))
-        coeffs = (rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1))
-        coeffs[0] += 2.0  # keep the leading coefficient well away from zero
-        mine = durand_kerner(list(coeffs))
-        ref = np.roots(coeffs)
-        assert len(mine) == len(ref)
-        for r in ref:
-            assert min(abs(r - m) for m in mine) < 1e-8 * max(1.0, abs(r))
-
-
-def test_durand_kerner_trims_leading_zeros():
-    # 0*z^4 + 0*z^3 + z^2 - 1
-    roots = durand_kerner([0.0, 0.0, 1.0, 0.0, -1.0])
-    assert len(roots) == 2
-    assert sorted(round(r.real, 9) for r in roots) == [-1.0, 1.0]
-
-
 def test_richardson_decay_recovers_limit():
     f = lambda R: 5.0 - 3.0 / R + 0.7 / R ** 2 - 0.2 / R ** 3
     vals = [f(100.0 * 2 ** k) for k in range(4)]
@@ -116,6 +86,3 @@ def test_limit_smallstep_oscillation_raises():
         limit_smallstep([1.0, -1.0, 1.0, -1.0])
     assert len(err.value.samples) == 4
 
-
-def test_bisect_root():
-    assert bisect_root(lambda x: x * x - 2.0, 0.0, 2.0) == pytest.approx(math.sqrt(2.0), abs=1e-12)
