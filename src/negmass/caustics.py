@@ -96,17 +96,14 @@ def _critical_pair(phi: float, reduced: ReducedLens) -> tuple[complex, complex]:
     return z, -z
 
 
-def critical_curve(reduced: ReducedLens, n_samples: int,
-                   model: LensModel | None = None) -> list[CurveSample]:
+def critical_curve(reduced: ReducedLens, n_samples: int) -> list[CurveSample]:
     """Sample z_pm(phi) over [0, 2pi); independent of eps_kappa.
 
     Principal square roots flip branch where the radicand crosses the
     negative real axis; consecutive samples are rematched by nearest
     neighbor so each branch traces a continuous curve.  Samples with
     |e^{-i phi} - gamma*| < 1e-9 (gamma* = 1 degeneracy) are emitted as
-    explicit gaps.  With a model given, the critical points are turned
-    by e^{i theta} into the model's lab frame and their caustic points
-    are attached.
+    explicit gaps.
     """
     if reduced.m_star >= 0:
         raise DomainError("critical_curve expects a negative reduced mass")
@@ -125,13 +122,7 @@ def critical_curve(reduced: ReducedLens, n_samples: int,
         if prev is not None and abs(zp - prev) > abs(zm - prev):
             zp, zm = zm, zp
         prev = zp
-        yp = ym = None
-        if model is not None:
-            zp = _rotated_out_of_frame(zp, model)
-            zm = _rotated_out_of_frame(zm, model)
-            yp = lens_map(zp, model)
-            ym = lens_map(zm, model)
-        out.append(CurveSample(phi, zp, zm, yp, ym))
+        out.append(CurveSample(phi, zp, zm))
     return out
 
 
@@ -155,8 +146,15 @@ def critical_points_kappa1(m: float, gamma: float) -> tuple[complex, ...]:
 
 def caustic_curve(reduced: ReducedLens, model: LensModel,
                   n_samples: int) -> list[CurveSample]:
-    """Image of the critical curve under the full lens map."""
-    return critical_curve(reduced, n_samples, model=model)
+    """The critical curve turned by e^{i theta} into the model's lab frame,
+    with its image under the full lens map attached."""
+    out = critical_curve(reduced, n_samples)
+    for i, s in enumerate(out):
+        if not s.gap:
+            zp = _rotated_out_of_frame(s.z_plus, model)
+            zm = _rotated_out_of_frame(s.z_minus, model)
+            out[i] = CurveSample(s.phi, zp, zm, lens_map(zp, model), lens_map(zm, model))
+    return out
 
 
 def re_w3(phi, gstar: float):

@@ -60,7 +60,6 @@ class FlowTrace:
     """Time-ordered flow states; halted_at_horizon marks classical breakdown."""
 
     states: tuple[FlowState, ...]
-    violations: tuple[GerochViolation, ...] = ()
     halted_at_horizon: bool = False
 
     def final(self) -> FlowState:
@@ -122,7 +121,7 @@ def imcf_flow(profile: RadialProfile, r0: float, t_end: float, n: int = 101) -> 
     states = tuple(FlowState(*vals) for vals in
                    zip(t.tolist(), r.tolist(), A.tolist(), hawking.tolist(),
                        (dA / A).tolist()))
-    return FlowTrace(states, tuple(_decreases(states, profile, GEROCH_TOL)), halted)
+    return FlowTrace(states, halted)
 
 
 def _scan(profile: RadialProfile, r0: float, start: tuple, target: float):
@@ -237,24 +236,21 @@ def _horizon(profile: RadialProfile, lo: float, hi: float) -> float:
                          np.array([hi]))[0])
 
 
-def _decreases(states, profile: RadialProfile, tol: float):
-    for prev, cur in zip(states[:-1], states[1:]):
-        dm = cur.hawking - prev.hawking
-        if dm < -tol:
-            yield GerochViolation(cur.t, dm, scalar_curvature(profile, cur.r))
+def geroch_report(trace: FlowTrace, profile: RadialProfile) -> list[GerochViolation]:
+    """Hawking-mass decreases along the trace exceeding GEROCH_TOL.
 
-
-def geroch_report(trace: FlowTrace, profile: RadialProfile,
-                  tol: float = GEROCH_TOL) -> list[GerochViolation]:
-    """Hawking-mass decreases along the trace exceeding tol.
-
-    Empty whenever R >= -tol along the trace; on profiles with negative
-    scalar curvature regions the violations come back with the local R
-    attached.
+    Empty whenever R >= -GEROCH_TOL along the trace; on profiles with
+    negative scalar curvature regions the violations come back with the
+    local R attached.
     """
     if not trace.states:
         raise DomainError("empty flow trace")
-    return list(_decreases(trace.states, profile, tol))
+    out = []
+    for prev, cur in zip(trace.states[:-1], trace.states[1:]):
+        dm = cur.hawking - prev.hawking
+        if dm < -GEROCH_TOL:
+            out.append(GerochViolation(cur.t, dm, scalar_curvature(profile, cur.r)))
+    return out
 
 
 def capacity_energy_bound(area0: float, m0: float) -> float:

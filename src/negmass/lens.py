@@ -28,6 +28,7 @@ from .errors import DomainError, SingularPointError, ValidationError
 RESIDUAL_TOL = 1e-9          # spurious-root rejection on |eta(z) - y|
 CENTER_TOL = 1e-12           # roots this close to the lens center are dropped
 CAUSTIC_TIE_TOL = 1e-12      # |y| within this of 2 sqrt(-m) counts as critical
+_EPS = float(np.finfo(float).eps)
 
 
 def _as_point(z, what: str = "point") -> complex:
@@ -61,10 +62,6 @@ class LensModel:
         if self.gamma < 0:
             raise ValidationError("shear gamma must be >= 0")
         object.__setattr__(self, "theta", self.theta % math.pi)
-
-    @property
-    def is_isolated(self) -> bool:
-        return self.kappa == 0.0 and self.gamma == 0.0
 
 
 @dataclass(frozen=True)
@@ -172,23 +169,27 @@ def surface_potential(x, model: LensModel) -> float:
     return val
 
 
+def lens_map(x, model: LensModel) -> complex:
+    """Source position eta(z) = (1 - kappa) z + gamma e^{2 i theta} conj(z) - m/conj(z).
+
+    Summed term by term so that, unlike z - alpha(z), nothing cancels at
+    kappa = 1.
+    """
+    z = _as_point(x, "image position")
+    if model.m != 0.0 and z == 0:
+        raise SingularPointError("lens map is singular at the point mass")
+    eta = (1.0 - model.kappa) * z
+    if model.gamma != 0.0:
+        eta += model.gamma * cmath.exp(2j * model.theta) * z.conjugate()
+    if model.m != 0.0:
+        eta -= model.m / z.conjugate()
+    return eta
+
+
 def deflection(x, model: LensModel) -> complex:
     """Complex deflection angle alpha = grad psi = m/conj(z) + kappa z - gamma e^{2 i theta} conj(z)."""
     z = _as_point(x, "image position")
-    if model.m != 0.0 and z == 0:
-        raise SingularPointError("deflection is singular at the point mass")
-    alpha = model.kappa * z
-    if model.gamma != 0.0:
-        alpha -= model.gamma * cmath.exp(2j * model.theta) * z.conjugate()
-    if model.m != 0.0:
-        alpha += model.m / z.conjugate()
-    return alpha
-
-
-def lens_map(x, model: LensModel) -> complex:
-    """Source position eta(z) = z - alpha(z) for an image at z."""
-    z = _as_point(x, "image position")
-    return z - deflection(z, model)
+    return z - lens_map(z, model)
 
 
 def _shear_term(z: complex, model: LensModel) -> complex:
@@ -275,10 +276,10 @@ def _image_polynomial(y: complex, m: float, kappa: float, gamma: float) -> list[
     ]
 
 
-def _newton_polish(z: complex, y: complex, model: LensModel, iters: int = 60) -> complex:
-    """Newton iteration on the real 2x2 system eta(z) - y = 0."""
+def _newton_polish(z: complex, y: complex, model: LensModel) -> complex:
+    """Newton iteration (at most 60 steps) on the real 2x2 system eta(z) - y = 0."""
     u = 1.0 - model.kappa
-    for _ in range(iters):
+    for _ in range(60):
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
             break
         if model.m != 0.0 and abs(z) < 1e-14:
@@ -302,12 +303,15 @@ def _newton_polish(z: complex, y: complex, model: LensModel, iters: int = 60) ->
 
 
 def _collect_images(cands, y: complex, model: LensModel) -> list[ImageSolution]:
+    # rounding of eta's linear part per unit |z|: a point-mass term |m/z|
+    # below it is invisible to the residual filter
+    linear = _EPS * (abs(1.0 - model.kappa) + model.gamma)
     kept: list[ImageSolution] = []
     for z in cands:
         z = _newton_polish(z, y, model)
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
             continue
-        if model.m != 0.0 and abs(z) < CENTER_TOL:
+        if model.m != 0.0 and (abs(z) < CENTER_TOL or abs(model.m) <= linear * abs(z) ** 2):
             continue
         res = abs(lens_map(z, model) - y)
         if res > RESIDUAL_TOL:
@@ -330,11 +334,13 @@ def find_images(y, model: LensModel) -> ImageSet:
     largest (or of 1) are trimmed, and the roots of what remains
     (companion-matrix eigenvalues, ``np.roots``) seed a Newton polish on
     the real system.  Roots with lens-equation residual above 1e-9, or
-    within 1e-12 of the lens center, are discarded.  Images come back
-    sorted by |z| descending.
+    within 1e-12 of the lens center, are discarded, and so are roots
+    so far out that |m/z| sinks below the rounding of the linear part
+    of eta.  Images come back sorted by |z| descending.
 
-    kappa = 1 with gamma = 0 leaves no polynomial to solve; that case
-    falls back to Newton from a grid of starts and flags the result.
+    kappa = 1 with gamma = 0 leaves eta = -m/conj(z), whose one image
+    z = -m/conj(y) is taken in closed form (none at y = 0); that case is
+    flagged 'degenerate-linear-part'.
     """
     yv = _as_point(y, "source position")
     y0 = _rotated_into_frame(yv, model)
@@ -351,10 +357,7 @@ def find_images(y, model: LensModel) -> ImageSet:
         images = _collect_images([z0], y0, base)
     elif model.kappa == 1.0 and model.gamma == 0.0:
         flags = ("degenerate-linear-part",)
-        scale = max(1.0, math.sqrt(abs(model.m)), abs(y0))
-        starts = [rad * scale * cmath.exp(1j * (0.25 * math.pi * k + 0.1))
-                  for rad in (0.3, 1.0, 3.0) for k in range(8)]
-        images = _collect_images(starts, y0, base)
+        images = _collect_images([-model.m / y0.conjugate()] if y0 else [], y0, base)
     else:
         coeffs = _image_polynomial(y0, model.m, model.kappa, model.gamma)
         tiny = 1e-14 * max(1.0, *map(abs, coeffs))
@@ -431,10 +434,11 @@ def time_delay(x, y, model: LensModel, geometry: LensGeometry | None = None) -> 
     return TimeDelay(tau, pref * tau)
 
 
-def fermat_gradient(x, y, model: LensModel, step: float = 1e-6) -> tuple[float, float]:
-    """Central-difference gradient of the Fermat potential at x."""
+def fermat_gradient(x, y, model: LensModel) -> tuple[float, float]:
+    """Central-difference gradient (step 1e-6) of the Fermat potential at x."""
     xv = _as_point(x)
     yv = _as_point(y)
+    step = 1e-6
 
     def tau(p):
         return 0.5 * abs(p - yv) ** 2 - surface_potential(p, model)

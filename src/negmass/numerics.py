@@ -76,15 +76,15 @@ def tail_integral(f, a: float) -> float:
     return total + float(f(1.0 / edges[-1])) / edges[-1]
 
 
-def dyadic_gauss(f, lo: float, hi: float, inner: float, n: int = 24,
-                 rel_tol: float = 1e-8) -> float:
+def dyadic_gauss(f, lo: float, hi: float, inner: float) -> float:
     """Integrate a vectorized integrand whose sharp features hug both endpoints.
 
     Panels shrink geometrically toward lo and hi until their width falls
-    below ``inner``; each panel gets fixed-order Gauss quadrature.  The
+    below ``inner``; each panel gets Gauss quadrature of order 24.  The
     result is accepted once doubling the order moves it by less than
-    rel_tol relatively, else the order is escalated.
+    1e-8 relatively, else the order is escalated once more.
     """
+    n, rel_tol = 24, 1e-8
     if not hi > lo:
         raise NumericalError("dyadic_gauss: empty interval")
     mid = 0.5 * (lo + hi)

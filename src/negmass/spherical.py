@@ -274,19 +274,17 @@ class CustomProfile(RadialProfile):
         return _like(r, *vals.reshape((3,) + r.shape))
 
 
-def bump_profile(amplitude: float = 0.3, center: float = 5.0) -> CustomProfile:
-    """Asymptotically flat profile A = 4 pi r^2 (1 + a e^{-(r-c)^2}).
+def bump_profile() -> CustomProfile:
+    """Asymptotically flat profile A = 4 pi r^2 (1 + 0.3 e^{-(r-5)^2}).
 
     Its scalar curvature dips negative on the inner flank of the bump;
     this is the stock counterexample for R >= 0 hypotheses.
     """
 
     def parts(r):
-        e = math.exp(-((r - center) ** 2))
-        B = 1.0 + amplitude * e
-        dB = -2.0 * amplitude * (r - center) * e
-        d2B = amplitude * (4.0 * (r - center) ** 2 - 2.0) * e
-        return B, dB, d2B
+        e = math.exp(-((r - 5.0) ** 2))
+        return (1.0 + 0.3 * e, -2.0 * 0.3 * (r - 5.0) * e,
+                0.3 * (4.0 * (r - 5.0) ** 2 - 2.0) * e)
 
     def area(r):
         B, _, _ = parts(r)
@@ -436,7 +434,7 @@ def regular_mass(profile: RadialProfile, eps: float = 1e-6) -> float:
     if profile.r_min != 0.0:
         raise DomainError("regular mass needs the singular end at r = 0")
     vals = regular_mass_integrand(profile, eps / 2.0 ** np.arange(4)).tolist()
-    return limit_smallstep(vals, diverged=lambda sign: sign * math.inf)
+    return limit_smallstep(vals)
 
 
 # ---------------------------------------------------------------------------
@@ -458,12 +456,13 @@ def radial_capacity(profile: RadialProfile, r0: float) -> float:
     return 1.0 / f
 
 
-def capacity_center(profile: RadialProfile, eps: float = 1e-4) -> float:
+def capacity_center(profile: RadialProfile) -> float:
     """Capacity of the central point: lim_{r->0} f(r)^{-1}, 0 when f diverges.
 
     A pure power-law head is integrated in closed form; otherwise the
-    limit is extrapolated from capacities at dyadically shrinking radii.
+    limit is extrapolated from capacities at radii 1e-4 / 2^k, k < 4.
     """
+    eps = 1e-4
     if isinstance(profile, PowerLawProfile):
         if profile.p >= 1.0:
             return 0.0

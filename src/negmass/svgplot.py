@@ -29,7 +29,9 @@ class Series:
             raise ValidationError("series x and y must have equal length")
 
 
-def _ticks(lo: float, hi: float, n: int = 5):
+def _ticks(lo: float, hi: float):
+    """Round tick values in [lo, hi], about five of them."""
+    n = 5
     if hi <= lo:
         hi = lo + 1.0
     span = hi - lo
@@ -48,9 +50,8 @@ def _ticks(lo: float, hi: float, n: int = 5):
 
 
 def emit_svg(series, path, *, title: str | None = None, equal_aspect: bool = False,
-             width: int = 640, height: int = 480, x_label: str = "",
-             y_label: str = "") -> None:
-    """Write a standalone SVG with the given line series.
+             x_label: str = "", y_label: str = "") -> None:
+    """Write a standalone 640 x 480 SVG with the given line series.
 
     Rejects empty input (no series, or no finite points).  With
     equal_aspect the data box is padded so x and y share one scale,
@@ -79,6 +80,7 @@ def emit_svg(series, path, *, title: str | None = None, equal_aspect: bool = Fal
     x_lo, x_hi = x_lo - mx, x_hi + mx
     y_lo, y_hi = y_lo - my, y_hi + my
 
+    width, height = 640, 480
     box = (60.0, 20.0, width - 20.0, height - 45.0)  # left, top, right, bottom
     bw, bh = box[2] - box[0], box[3] - box[1]
     if equal_aspect:

@@ -142,12 +142,11 @@ class VacuumResiduals:
     mu_z_eq: float       # mu_z - 2 rho lam_rho lam_z
 
 
-def vacuum_residuals(zv: ZVModel, rho_axis, z_axis,
-                     step_scale: float = 1e-5) -> VacuumResiduals:
+def vacuum_residuals(zv: ZVModel, rho_axis, z_axis) -> VacuumResiduals:
     """Finite-difference residuals of the vacuum equations on a grid.
 
     First derivatives of the potentials enter by central differences of
-    the closed forms (step = step_scale * local scale); the closed-form
+    the closed forms (step = 1e-5 * local scale); the closed-form
     gradients seed the divergence term.  For the exact rod potentials
     all three residuals measure only the differencing error.
     """
@@ -159,7 +158,7 @@ def vacuum_residuals(zv: ZVModel, rho_axis, z_axis,
     # local scale = distance to the rod segment, the length over which
     # the potentials actually vary
     scale = np.hypot(R, np.maximum(np.abs(Z) - zv.a, 0.0))
-    h = step_scale * scale
+    h = 1e-5 * scale
 
     lr_p, _, _, _ = zv_gradients(zv, R + h, Z)
     lr_m, _, _, _ = zv_gradients(zv, R - h, Z)
@@ -186,17 +185,17 @@ def vacuum_residuals(zv: ZVModel, rho_axis, z_axis,
                            float(np.max(np.abs(res3))))
 
 
-def adm_flux(zv: ZVModel, radius: float, n_nodes: int = 64) -> float:
+def adm_flux(zv: ZVModel, radius: float) -> float:
     """ADM mass as the flux (1/4 pi) closed-integral <nu, grad lam> dA.
 
     Evaluated on the Euclidean sphere of the given radius (which must
     enclose the rod); lam is flat-harmonic, so the value is independent
     of the radius.  Axisymmetry reduces the integral to one polar
-    Gauss-Legendre sweep.
+    Gauss-Legendre sweep of 64 nodes.
     """
     if radius <= zv.a:
         raise DomainError("flux sphere must enclose the rod: radius > a")
-    x, w = gauss_nodes(n_nodes)
+    x, w = gauss_nodes(64)
     theta = 0.5 * math.pi * (x + 1.0)
     wt = 0.5 * math.pi * w
     rho = radius * np.sin(theta)
@@ -221,7 +220,7 @@ def cylinder_area(zv: ZVModel, rho: float) -> float:
         return np.exp(mu - 2.0 * lam)
 
     inner = min(1e-3 * rho, 1e-3 * zv.a)
-    val = dyadic_gauss(f, -zv.a, zv.a, inner, n=24)
+    val = dyadic_gauss(f, -zv.a, zv.a, inner)
     return 2.0 * math.pi * rho * val
 
 
@@ -307,7 +306,7 @@ def level_set_energy(zv: ZVModel, rho: float, L: float | None = None) -> float:
         return nu43 * np.exp(mu - 2.0 * lam)
 
     inner = min(1e-3 * rho, 1e-3 * zv.a)
-    val = dyadic_gauss(f, -zv.a, zv.a, inner, n=24)
+    val = dyadic_gauss(f, -zv.a, zv.a, inner)
     return 2.0 * math.pi * rho * val
 
 
@@ -320,25 +319,26 @@ def level_set_energy(zv: ZVModel, rho: float, L: float | None = None) -> float:
 exp_lambda_flux = adm_flux
 
 
-def level_set_capacity(zv: ZVModel, L: float, radius: float | None = None) -> float:
-    """Capacity |flux(e^lam)| / (L - 1) of the level set e^lam = L (m < 0)."""
+def level_set_capacity(zv: ZVModel, L: float) -> float:
+    """Capacity |flux(e^lam)| / (L - 1) of the level set e^lam = L (m < 0).
+
+    The flux is taken through the sphere of radius 8a.
+    """
     if L <= 1.0:
         raise DomainError("level sets approaching the rod need L > 1 (m < 0)")
-    r = radius if radius is not None else 8.0 * zv.a
-    return abs(exp_lambda_flux(zv, r)) / (L - 1.0)
+    return abs(exp_lambda_flux(zv, 8.0 * zv.a)) / (L - 1.0)
 
 
-def reconstruct_mu(zv: ZVModel, rho: float, z: float,
-                   ref: tuple[float, float] = (40.0, 0.0), n: int = 64) -> float:
-    """mu at (rho, z) by line-integrating (mu_rho, mu_z) from a reference point.
+def reconstruct_mu(zv: ZVModel, rho: float, z: float) -> float:
+    """mu at (rho, z) by line-integrating (mu_rho, mu_z) from (40, 0).
 
-    Integrates along the two-leg path (ref) -> (rho, z_ref) -> (rho, z)
-    with Gauss panels, starting from the closed form at the reference;
+    Integrates along the two-leg path (40, 0) -> (rho, 0) -> (rho, z)
+    with 64-node Gauss panels, starting from the closed form at (40, 0);
     agreement with the closed form at the target checks integrability
     of the first-order system.
     """
-    x, w = gauss_nodes(n)
-    rho_ref, z_ref = ref
+    x, w = gauss_nodes(64)
+    rho_ref, z_ref = 40.0, 0.0
     _, mu_ref = zv_potentials(zv, rho_ref, z_ref)
 
     mid = 0.5 * (rho + rho_ref)

@@ -91,7 +91,7 @@ ROTATED = (LensModel(-1.0, 0.4, 0.3, 1.19), LensModel(-0.7, 0.15, 0.6, 2.68),
 
 def test_critical_curve_of_rotated_lens_zeroes_jacobian():
     for model in ROTATED:
-        for s in critical_curve(reduce(model), 90, model=model):
+        for s in caustic_curve(reduce(model), model, 90):
             if s.gap:
                 continue
             assert abs(jacobian_det(s.z_plus, model)) <= 1e-9

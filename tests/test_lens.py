@@ -192,13 +192,17 @@ def test_find_images_gamma_star_above_one():
 
 def test_find_images_degenerate_linear_part():
     model = LensModel(-1.0, kappa=1.0, gamma=0.0)
-    y = 2.0 + 1.0j
-    result = find_images(y, model)
+    # eta = -m/conj(z): one image at -m/conj(y), also for sources so close
+    # to the center that the image lies far out, and none at y = 0
+    for y in (2.0 + 1.0j, 1e-3, 1e-6j):
+        result = find_images(y, model)
+        assert "degenerate-linear-part" in result.flags
+        expect = -model.m / complex(y).conjugate()
+        assert len(result) == 1
+        assert abs(result[0].position - expect) <= 1e-12 * abs(expect)
+    result = find_images(0j, model)
     assert "degenerate-linear-part" in result.flags
-    # eta = -m/conj(z), single image at conj(-m/y)
-    expect = (-model.m / y).conjugate()
-    assert len(result) == 1
-    assert result[0].position == pytest.approx(expect, abs=1e-10)
+    assert len(result) == 0
 
 
 def test_find_images_without_shear_drops_quartic_term():
@@ -232,6 +236,19 @@ def test_find_images_when_quartic_term_cancels():
         assert len(found) == count
         for im in found:
             assert abs(lens_map(im.position, model) - y) <= 1e-9
+
+
+def test_find_images_none_at_unit_reduced_shear():
+    # gamma* = 1 with kappa < 1, u = 1 - kappa: along the real axis
+    # eta = 2u x1 - m x1/|z|^2 + i(-m x2/|z|^2), so a real source y = a has
+    # an image only if 2u x^2 - a x - m = 0 has a real root, i.e. a^2 >= 8 u |m|.
+    # The trimmed cubic still puts roots near infinity, where |m/z| sinks
+    # below the rounding of u z + gamma conj(z); none of them is an image.
+    for model, ys in ((LensModel(-1.0, 0.4, 0.6), (1.0, 0.5, 2.0, -1.0)),
+                      (LensModel(-1.0, 0.99, 1.0 - 0.99), (0.05, 0.1, 0.2)),
+                      (LensModel(-0.25, 0.95, 1.0 - 0.95), (0.01, 0.1))):
+        for y in ys:
+            assert len(find_images(y, model)) == 0
 
 
 def _potential_jacobian(z: complex, model: LensModel) -> float:
