@@ -25,9 +25,10 @@ import numpy as np
 
 from .errors import (BoundaryRegimeError, DegenerateKappaError, DomainError,
                      NumericalError, ValidationError)
-from .lens import LensModel, _rotated_out_of_frame, find_images, lens_map
+from .lens import LensModel, _eta, _rotated_out_of_frame, find_images, lens_map
 
 GAP_TOL = 1e-9  # |e^{-i phi} - gamma*| below this is a parametrization gap
+_NAN = complex(math.nan, math.nan)  # z and y at a gap
 
 
 @dataclass(frozen=True)
@@ -45,18 +46,6 @@ class ReducedLens:
             raise ValidationError("reduced parameters must be finite")
         if self.gamma_star < 0:
             raise ValidationError("gamma_star must be >= 0")
-
-
-@dataclass(frozen=True)
-class CurveSample:
-    """One phi-sample of the critical curve and (optionally) the caustic."""
-
-    phi: float
-    z_plus: complex
-    z_minus: complex
-    y_plus: complex | None = None
-    y_minus: complex | None = None
-    gap: bool = False
 
 
 @dataclass(frozen=True)
@@ -90,40 +79,36 @@ def unreduce(reduced: ReducedLens, kappa: float) -> LensModel:
     return LensModel(reduced.m_star * scale, kappa, reduced.gamma_star * scale)
 
 
-def _critical_pair(phi: float, reduced: ReducedLens) -> tuple[complex, complex]:
-    den = cmath.exp(-1j * phi) - reduced.gamma_star
-    z = 1j * cmath.sqrt(abs(reduced.m_star) / den)
-    return z, -z
+def _z_plus(phi: np.ndarray, reduced: ReducedLens) -> np.ndarray:
+    """Principal-root z_+(phi); NaN where |e^{-i phi} - gamma*| < GAP_TOL."""
+    den = np.exp(-1j * phi) - reduced.gamma_star
+    gap = np.abs(den) < GAP_TOL
+    return np.where(gap, _NAN, 1j * np.sqrt(abs(reduced.m_star) / np.where(gap, 1.0, den)))
 
 
-def critical_curve(reduced: ReducedLens, n_samples: int) -> list[CurveSample]:
+def critical_curve(reduced: ReducedLens, n_samples: int) -> np.recarray:
     """Sample z_pm(phi) over [0, 2pi); independent of eps_kappa.
 
-    Principal square roots flip branch where the radicand crosses the
-    negative real axis; consecutive samples are rematched by nearest
-    neighbor so each branch traces a continuous curve.  Samples with
-    |e^{-i phi} - gamma*| < 1e-9 (gamma* = 1 degeneracy) are emitted as
-    explicit gaps.
+    Returns a record array with fields ``phi``, ``z_plus``, ``z_minus``
+    and ``gap``, one record per angle.  Principal square roots flip branch
+    where the radicand crosses the negative real axis; each sample is
+    rematched to the root nearer the previous one, so each branch traces
+    a continuous curve.  Samples with |e^{-i phi} - gamma*| < 1e-9
+    (gamma* = 1 degeneracy) are gaps: ``gap`` is set and z is NaN there.
     """
     if reduced.m_star >= 0:
         raise DomainError("critical_curve expects a negative reduced mass")
     if n_samples < 4:
         raise ValidationError("need at least 4 samples")
-    out: list[CurveSample] = []
-    prev: complex | None = None
-    for k in range(n_samples):
-        phi = 2.0 * math.pi * k / n_samples
-        den = cmath.exp(-1j * phi) - reduced.gamma_star
-        if abs(den) < GAP_TOL:
-            out.append(CurveSample(phi, complex("nan"), complex("nan"), gap=True))
-            prev = None
-            continue
-        zp, zm = _critical_pair(phi, reduced)
-        if prev is not None and abs(zp - prev) > abs(zm - prev):
-            zp, zm = zm, zp
-        prev = zp
-        out.append(CurveSample(phi, zp, zm))
-    return out
+    phi = 2.0 * np.pi * np.arange(n_samples) / n_samples
+    z = _z_plus(phi, reduced)
+    gap = np.isnan(z)
+    # z_- = -z_+, so sample k is nearer the other root of sample k-1 exactly
+    # when Re(z_k conj z_{k-1}) < 0; the flip count restarts after each gap
+    flips = np.cumsum(np.concatenate(([False], (z[1:] * z[:-1].conj()).real < 0.0)))
+    flips -= np.maximum.accumulate(np.where(gap, flips, 0))
+    z = np.where(flips % 2 == 1, -z, z)
+    return np.rec.fromarrays((phi, z, -z, gap), names="phi,z_plus,z_minus,gap")
 
 
 def critical_points_kappa1(m: float, gamma: float) -> tuple[complex, ...]:
@@ -144,17 +129,16 @@ def critical_points_kappa1(m: float, gamma: float) -> tuple[complex, ...]:
     return (z, -z)
 
 
-def caustic_curve(reduced: ReducedLens, model: LensModel,
-                  n_samples: int) -> list[CurveSample]:
+def caustic_curve(reduced: ReducedLens, model: LensModel, n_samples: int) -> np.recarray:
     """The critical curve turned by e^{i theta} into the model's lab frame,
-    with its image under the full lens map attached."""
-    out = critical_curve(reduced, n_samples)
-    for i, s in enumerate(out):
-        if not s.gap:
-            zp = _rotated_out_of_frame(s.z_plus, model)
-            zm = _rotated_out_of_frame(s.z_minus, model)
-            out[i] = CurveSample(s.phi, zp, zm, lens_map(zp, model), lens_map(zm, model))
-    return out
+    with its image under the full lens map in the added record fields
+    ``y_plus`` and ``y_minus`` (NaN at gaps, like z)."""
+    curve = critical_curve(reduced, n_samples)
+    z = _rotated_out_of_frame(curve.z_plus, model)
+    # eta is odd, so the minus branch maps to -y
+    y = np.where(curve.gap, _NAN, _eta(np.where(curve.gap, 1.0, z), model))
+    return np.rec.fromarrays((curve.phi, z, -z, curve.gap, y, -y),
+                             names="phi,z_plus,z_minus,gap,y_plus,y_minus")
 
 
 def re_w3(phi, gstar: float):
@@ -240,18 +224,13 @@ def cusp_angles(reduced: ReducedLens) -> CuspSet:
         raise DomainError("cusp_angles expects a negative reduced mass")
     g = reduced.gamma_star
     regime = shear_regime(g)  # raises on gamma* = 1
-    selected: list[tuple[float, str]] = []
-    if g > 0.0:
-        model = _equivalent_model(reduced)
-        for phi, lab in _candidate_angles(g):
-            re = re_w3(phi, g)
-            if re == 0.0 or (re > 0) == (reduced.eps_kappa > 0):
-                continue
-            zp, _ = _critical_pair(phi, reduced)
-            if abs(grad_Z_eta(zp, model)) > 1e-7:
-                raise NumericalError(
-                    f"closed-form cusp {lab} fails the numerical condition")
-            selected.append((phi, lab))
+    selected = [(phi, lab) for phi, lab in _candidate_angles(g)
+                if g > 0.0 and re_w3(phi, g) * reduced.eps_kappa < 0.0]
+    model = _equivalent_model(reduced)
+    zs = _z_plus(np.array([phi for phi, _ in selected]), reduced).tolist()
+    for (_, lab), z in zip(selected, zs):
+        if not abs(grad_Z_eta(z, model)) <= 1e-7:
+            raise NumericalError(f"closed-form cusp {lab} fails the numerical condition")
     selected.sort()
     return CuspSet(tuple(selected), 2 * len(selected), regime, reduced.eps_kappa)
 
@@ -300,39 +279,56 @@ class SurveyResult:
     margin: float
 
 
-def _caustic_points(model: LensModel, n: int) -> np.ndarray:
-    """Caustic sampled at n angles per branch for margin tests; empty for m = 0."""
+def _caustic_segments(model: LensModel, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The caustic as (start, end) segments between consecutive samples at
+    n angles per branch, none across a gap; each branch closes on the one
+    of +/- its first sample that continues the critical curve.  kappa = 1
+    gives two points (zero-length segments), m = 0 none."""
     if model.m == 0.0:
-        return np.empty(0, dtype=complex)
+        return np.empty(0, dtype=complex), np.empty(0, dtype=complex)
     if model.kappa == 1.0:
-        pts = [lens_map(_rotated_out_of_frame(z, model), model)
-               for z in critical_points_kappa1(model.m, model.gamma)]
-        return np.array(pts, dtype=complex)
-    red = reduce(model)
-    pts = []
-    for s in caustic_curve(red, model, n):
-        if not s.gap:
-            pts.extend((s.y_plus, s.y_minus))
-    return np.array(pts, dtype=complex)
+        pts = np.array([lens_map(_rotated_out_of_frame(z, model), model)
+                        for z in critical_points_kappa1(model.m, model.gamma)], dtype=complex)
+        return pts, pts
+    curve = caustic_curve(reduce(model), model, n)
+    y, z = curve.y_plus, curve.z_plus
+    nxt = np.append(y[1:], -y[0] if (z[-1] * z[0].conjugate()).real < 0.0 else y[0])
+    start, end = np.concatenate((y, -y)), np.concatenate((nxt, -nxt))
+    keep = ~np.isnan(start + end)
+    return start[keep], end[keep]
+
+
+def _near_caustic(segments, y1: np.ndarray, y2: np.ndarray, margin: float) -> np.ndarray:
+    """Grid points within margin of a segment.  Only a point within margin
+    of a segment's bounding box can be, so each row y2 = b measures just
+    the (column, segment) pairs that pass that test."""
+    a, b = segments
+    d = b - a
+    len2 = np.where(d == 0, 1.0, np.abs(d) ** 2)  # zero length: projection 0
+    x_lo, x_hi = np.minimum(a.real, b.real) - margin, np.maximum(a.real, b.real) + margin
+    y_lo, y_hi = np.minimum(a.imag, b.imag) - margin, np.maximum(a.imag, b.imag) + margin
+    near = np.zeros((y2.size, y1.size), dtype=bool)
+    for i, row in enumerate(y2):
+        s = np.flatnonzero((y_lo <= row) & (row <= y_hi))
+        j, k = np.nonzero((x_lo[s] <= y1[:, None]) & (y1[:, None] <= x_hi[s]))
+        k = s[k]
+        p = y1[j] + 1j * row - a[k]
+        t = np.clip((p * d[k].conj()).real / len2[k], 0.0, 1.0)
+        near[i, j[np.abs(p - t * d[k]) < margin]] = True
+    return near
 
 
 def image_count_survey(model: LensModel, y1_axis, y2_axis,
                        margin: float = 1e-3, samples: int = 8192) -> SurveyResult:
     """Count images of find_images over a rectangular source grid.
 
-    Grid points within ``margin`` of the caustic, sampled at ``samples``
-    angles per branch, are flagged unreliable (counts there are still
-    reported).
+    Grid points within ``margin`` of the caustic, drawn as segments
+    between its samples at ``samples`` angles per branch, are flagged
+    unreliable (counts there are still reported).
     """
     y1 = np.asarray(y1_axis, dtype=float)
     y2 = np.asarray(y2_axis, dtype=float)
-    caus = _caustic_points(model, samples)
-    counts = np.zeros((y2.size, y1.size), dtype=int)
-    near = np.zeros_like(counts, dtype=bool)
-    for i, b in enumerate(y2):
-        for j, a in enumerate(y1):
-            y = complex(a, b)
-            if caus.size:
-                near[i, j] = bool(np.min(np.abs(caus - y)) < margin)
-            counts[i, j] = len(find_images(y, model))
+    near = _near_caustic(_caustic_segments(model, samples), y1, y2, margin)
+    counts = np.array([[len(find_images(complex(a, b), model)) for a in y1] for b in y2],
+                      dtype=int).reshape(y2.size, y1.size)
     return SurveyResult(y1, y2, counts, near, margin)

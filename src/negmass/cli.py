@@ -195,14 +195,13 @@ def _cmd_lens_curve(args):
         series = [Series([q.real for q in pts], [q.imag for q in pts])]
     else:
         red = caustics.reduce(model)
-        samples = (caustics.caustic_curve(red, model, args.samples) if caustic
-                   else caustics.critical_curve(red, args.samples))
-        plus = [None if s.gap else getattr(s, f"{p}_plus") for s in samples]
-        minus = [None if s.gap else getattr(s, f"{p}_minus") for s in samples]
-        rows = [[s.phi, None, None, None, None] if s.gap else [s.phi, *_re_im(a), *_re_im(b)]
-                for s, a, b in zip(samples, plus, minus)]
-        series = [Series([None if q is None else q.real for q in branch],
-                         [None if q is None else q.imag for q in branch], label=p + sign)
+        curve = (caustics.caustic_curve(red, model, args.samples) if caustic
+                 else caustics.critical_curve(red, args.samples))
+        plus, minus = curve[f"{p}_plus"], curve[f"{p}_minus"]
+        cols = (curve.phi, plus.real, plus.imag, minus.real, minus.imag)
+        # NaN marks a gap; it is written as NA and drawn as a break
+        rows = [[None if v != v else v for v in row] for row in zip(*(c.tolist() for c in cols))]
+        series = [Series(branch.real.tolist(), branch.imag.tolist(), label=p + sign)
                   for branch, sign in ((plus, "+"), (minus, "-"))]
     write_csv(args.out, ["phi", f"{p}p1", f"{p}p2", f"{p}m1", f"{p}m2"], rows)
     if args.svg:

@@ -178,6 +178,11 @@ def lens_map(x, model: LensModel) -> complex:
     z = _as_point(x, "image position")
     if model.m != 0.0 and z == 0:
         raise SingularPointError("lens map is singular at the point mass")
+    return _eta(z, model)
+
+
+def _eta(z, model: LensModel):
+    """The lens map's arithmetic, for a complex or a complex ndarray z."""
     eta = (1.0 - model.kappa) * z
     if model.gamma != 0.0:
         eta += model.gamma * cmath.exp(2j * model.theta) * z.conjugate()

@@ -132,15 +132,15 @@ def richardson_decay(values):
     return limit
 
 
-def limit_smallstep(values, diverged=None):
+def limit_smallstep(values):
     """Extrapolate f(eps), f(eps/2), f(eps/4), f(eps/8) to eps -> 0.
 
     The leading correction exponent is unknown (profiles often carry
     fractional powers), so it is estimated from successive difference
-    ratios before each elimination round.  Returns +/-inf through the
-    ``diverged`` callback when the samples run away: either growing by
-    more than a factor 2 step over step, or with non-shrinking
-    differences of one sign (slow power-law divergence).
+    ratios before each elimination round.  Returns +/-inf when the
+    samples run away: either growing by more than a factor 2 step over
+    step, or with non-shrinking differences of one sign (slow power-law
+    divergence).
     """
     v = [float(x) for x in values]
     diffs = [v[i + 1] - v[i] for i in range(len(v) - 1)]
@@ -153,10 +153,7 @@ def limit_smallstep(values, diverged=None):
             and all(d * diffs[-1] > 0 for d in diffs)
             and abs(diffs[-1]) > 1e-12 * max(1.0, abs(v[-1])))
     if all(growth) or slow:
-        sign = 1.0 if v[-1] > v[0] else -1.0
-        if diverged is not None:
-            return diverged(sign)
-        return sign * math.inf
+        return math.inf if v[-1] > v[0] else -math.inf
 
     osc = sum(1 for i in range(len(diffs) - 1) if diffs[i] * diffs[i + 1] < 0)
     if osc >= 2 and abs(diffs[-1]) > 1e-10 * max(1.0, abs(v[-1])):

@@ -470,7 +470,9 @@ def capacity_center(profile: RadialProfile) -> float:
         return 1.0 / (FOUR_PI * profile.head_capacity_integral(r_in)
                       + radial_capacity_function(profile, r_in))
     caps = [radial_capacity(profile, eps / 2.0 ** k) for k in range(4)]
-    lim = limit_smallstep(caps, diverged=lambda sign: 0.0 if sign < 0 else math.inf)
+    lim = limit_smallstep(caps)
+    if lim == -math.inf:
+        return 0.0
     if not math.isfinite(lim):
         raise NumericalError("central capacity extrapolation ran away")
     # capacities sliding well below the finest sample are heading to zero

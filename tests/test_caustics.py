@@ -108,9 +108,10 @@ def test_rotated_caustic_is_turned_by_theta():
             assert abs(s.y_plus - turn * s0.y_plus) <= 1e-12 * abs(s0.y_plus)
             assert abs(s.y_minus - turn * s0.y_minus) <= 1e-12 * abs(s0.y_minus)
     # kappa = 1: the two-point caustic of the survey mask turns as well
-    from negmass.caustics import _caustic_points
-    pts = _caustic_points(LensModel(-1.0, 1.0, 0.2, 0.7), 8)
-    flat = _caustic_points(LensModel(-1.0, 1.0, 0.2), 8)
+    from negmass.caustics import _caustic_segments
+    pts, ends = _caustic_segments(LensModel(-1.0, 1.0, 0.2, 0.7), 8)
+    flat, _ = _caustic_segments(LensModel(-1.0, 1.0, 0.2), 8)
+    assert np.array_equal(pts, ends) and pts.size == 2
     assert np.allclose(pts, cmath.exp(0.7j) * flat, rtol=1e-14, atol=0.0)
 
 
@@ -133,6 +134,42 @@ def test_critical_curve_continuity():
     zs = [s.z_plus for s in samples if not s.gap]
     steps = [abs(b - a) for a, b in zip(zs, zs[1:])]
     assert max(steps) < 0.1  # no branch flips
+
+
+def _rematched_reference(reduced, n):
+    """The scalar sampling critical_curve replaced: cmath per angle, each
+    sample swapped to the root nearer the previous one, reset at gaps."""
+    out = []
+    prev = None
+    for k in range(n):
+        phi = 2.0 * math.pi * k / n
+        den = cmath.exp(-1j * phi) - reduced.gamma_star
+        if abs(den) < 1e-9:
+            out.append((phi, complex("nan"), complex("nan"), True))
+            prev = None
+            continue
+        zp = 1j * cmath.sqrt(abs(reduced.m_star) / den)
+        zm = -zp
+        if prev is not None and abs(zp - prev) > abs(zm - prev):
+            zp, zm = zm, zp
+        prev = zp
+        out.append((phi, zp, zm, False))
+    return out
+
+
+@pytest.mark.parametrize("gstar", [0.0, 0.5, 0.9, 1.0, 1.7])
+@pytest.mark.parametrize("n", [4, 8, 720])
+def test_critical_curve_matches_scalar_rematch(gstar, n):
+    curve = critical_curve(ReducedLens(-1.3, gstar, 1), n)
+    ref = _rematched_reference(ReducedLens(-1.3, gstar, 1), n)
+    assert curve.gap.tolist() == [r[3] for r in ref]
+    assert curve.phi.tolist() == [r[0] for r in ref]
+    if gstar == 1.0:
+        assert curve.gap[0] and np.isnan(curve.z_plus[0])  # phi = 0
+    for zp, zm, (_, rp, rm, gap) in zip(curve.z_plus, curve.z_minus, ref):
+        if not gap:
+            assert abs(zp - rp) <= 1e-14 * abs(rp)
+            assert abs(zm - rm) <= 1e-14 * abs(rm)
 
 
 def test_critical_curve_gap_flags_near_gamma_one():
@@ -377,10 +414,29 @@ def test_survey_sheared_regime():
     assert center == 4
 
 
+def test_survey_flags_points_between_caustic_samples():
+    # the widest step of this lens's 8192-angle caustic is 5.2e-3; the two
+    # points 3e-4 off its middle lie 2.6e-3 from either sample but within
+    # the 1e-3 margin of the caustic
+    model = LensModel(-1.9585059345298044, 0.10265656862205405, 0.5959762230559241)
+    red = reduce(model)
+    y = caustic_curve(red, model, 8192).y_plus
+    steps = np.abs(np.diff(y))
+    k = int(np.argmax(steps))
+    assert steps[k] == pytest.approx(5.2e-3, abs=1e-4)
+    mid = 0.5 * (y[k] + y[k + 1])
+    normal = 1j * (y[k + 1] - y[k]) / steps[k]
+    fine = caustic_curve(red, model, 2 ** 19).y_plus
+    for p in (mid + 3e-4 * normal, mid - 3e-4 * normal):
+        assert np.min(np.abs(y - p)) > 2e-3
+        assert np.min(np.abs(fine - p)) < 1e-3
+        res = image_count_survey(model, [p.real], [p.imag])
+        assert res.near_caustic.tolist() == [[True]]
+
+
 def test_swallowtail_panel_structure():
     # eps = +1, gamma* = 0.9: eight cusps, four swallowtails; counts are
     # 4 inside a swallowtail, 0 in the central region, 2 outside
-    from negmass.caustics import _critical_pair
     from negmass.lens import find_images
     model = LensModel(-1.0, 0.0, 0.9)
     red = reduce(model)
@@ -389,10 +445,9 @@ def test_swallowtail_panel_structure():
     assert len(find_images(5.0 + 0j, model)) == 2    # outside everything
     # walk the caustic arc between the phi3 and phi4 cusp tips and scan
     # its neighborhood for the swallowtail interior
-    arc = []
-    for phi in np.linspace(by_label["phi3"], by_label["phi4"], 25):
-        zp, _ = _critical_pair(float(phi), red)
-        arc.append(lens_map(zp, model))
+    phis = np.linspace(by_label["phi3"], by_label["phi4"], 25)
+    zs = 1j * np.sqrt(-red.m_star / (np.exp(-1j * phis) - red.gamma_star))
+    arc = [lens_map(z, model) for z in zs]
     ctr = sum(arc) / len(arc)
     inside = None
     for dx in np.linspace(-0.25, 0.25, 41):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -241,6 +242,19 @@ def test_cli_critical_gamma_star_one_gaps(tmp_path):
     assert na_rows  # the phi = 0 degeneracy is emitted as a gap
     assert len(rows) == 180
     assert svg.exists()
+
+
+def test_cli_caustics_gap_row_without_warning(tmp_path):
+    # gamma* = 1 puts a gap at phi = 0: an NA row, and no NaN arithmetic warns
+    out = tmp_path / "c.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["lens-caustics", "--m", "-1", "--kappa", "0", "--gamma", "1",
+                    "--samples", "8", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 8
+    assert rows[0] == [0.0, None, None, None, None]
+    assert all(None not in row for row in rows[1:])
 
 
 def test_cli_survey_svg(tmp_path):
