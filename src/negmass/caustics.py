@@ -120,6 +120,8 @@ def critical_points_kappa1(m: float, gamma: float) -> tuple[complex, ...]:
     there.)  For m < 0 the two points lie on the x1 axis, the kappa -> 1
     limit of the shrinking critical loops.
     """
+    if not (math.isfinite(m) and math.isfinite(gamma)):
+        raise ValidationError("critical_points_kappa1 needs finite m and gamma")
     if gamma == 0.0:
         return ()
     if m == 0.0:

@@ -259,8 +259,8 @@ def capacity_energy_bound(area0: float, m0: float) -> float:
     alpha = 16 pi A0 and beta = (16 pi)^{3/2} sqrt(A0) |m0|; the bound
     goes to zero with A0 when m0 stays bounded.
     """
-    if area0 < 0.0:
-        raise DomainError("area must be nonnegative")
+    if not (0.0 <= area0 < math.inf and math.isfinite(m0)):
+        raise DomainError("bound needs a finite nonnegative area and a finite mass")
     alpha = 16.0 * math.pi * area0
     beta = (16.0 * math.pi) ** 1.5 * math.sqrt(area0) * abs(m0)
     return 2.0 * math.sqrt(alpha) + 2.0 * math.sqrt(beta)

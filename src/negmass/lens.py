@@ -383,6 +383,8 @@ def total_magnification_isolated(y_norm: float, m: float) -> float:
     Valid outside the caustic, y > 2 sqrt(-m); diverges on approach to it.
     """
     y = float(y_norm)
+    if not (math.isfinite(y) and math.isfinite(m)):
+        raise ValidationError("total magnification needs finite y_norm and m")
     if m >= 0:
         if y <= 0:
             raise DomainError("need y_norm > 0")
@@ -399,9 +401,11 @@ def light_curve(m: float, d: float, times) -> list[LightCurveSample]:
     Samples with d^2 + t^2 + 4m <= 0 (source behind the caustic disk,
     m < 0) are reported with magnification None rather than 0 or NaN.
     """
+    times = [float(t) for t in times]
+    if not all(map(math.isfinite, (m, d, *times))):
+        raise ValidationError("light curve needs finite m, d and times")
     out = []
     for t in times:
-        t = float(t)
         r2 = d * d + t * t
         disc = r2 + 4.0 * m
         if r2 <= 0.0 or disc <= 0.0:

@@ -16,7 +16,8 @@ over any surface enclosing the rod.  Near the rod, constant-rho
 cylinders have area 2 pi rho int_-a^a e^{mu - 2 lam} dz, whose bulk
 scales like rho^{(m/a)^2 - 2(m/a) + 1}; boundary layers of width ~rho
 at the rod ends contribute rho^{2 - m/a}, so the observable exponent is
-the smaller of the two.
+the smaller of the two.  The level-set energy needs m != 0: for m = 0,
+e^lam is identically 1, has no level sets, and its level L = 1 raises.
 """
 
 from __future__ import annotations
@@ -67,17 +68,8 @@ class ZVModel:
         return self.ratio == 2.0
 
 
-def _check_off_rod(zv: ZVModel, rho, z):
-    rho = np.asarray(rho, dtype=float)
-    z = np.asarray(z, dtype=float)
-    on = (rho == 0.0) & (np.abs(z) <= zv.a)
-    if np.any(on):
-        raise SingularPointError("potential evaluated on the rod")
-    return rho, z
-
-
-def _rod_geometry(zv: ZVModel, rho, z):
-    """(Rp, Rm, S, S - 2a) with the excess computed cancellation-free.
+def _rod_fields(zv: ZVModel, rho, z):
+    """(rho, z, Rp, Rm, S, S^2 - 4a^2, lam, mu) at points off the rod.
 
     Near the rod S - 2a is a tiny difference of O(a) terms; the identity
     R - |u| = rho^2 / (R + |u|) rewrites it as
@@ -88,49 +80,45 @@ def _rod_geometry(zv: ZVModel, rho, z):
     where the last bracket is exactly 0 between the rod ends and
     2(|z| - a) beyond them.
     """
+    rho = np.asarray(rho, dtype=float)
+    z = np.asarray(z, dtype=float)
     a = zv.a
+    if ((rho == 0.0) & (np.abs(z) <= a)).any():
+        raise SingularPointError("potential evaluated on the rod")
     Rp = np.hypot(rho, z + a)
+    if not np.isfinite(Rp).all():  # NaN or +-inf in rho or z
+        raise DomainError("rod fields need finite (rho, z)")
     Rm = np.hypot(rho, z - a)
     up = np.abs(z + a)
     um = np.abs(z - a)
     excess = (rho * rho / (Rp + up) + rho * rho / (Rm + um)
               + np.maximum(up + um - 2.0 * a, 0.0))
-    return Rp, Rm, Rp + Rm, excess
+    S = Rp + Rm
+    S2m = excess * (S + 2.0 * a)  # = S^2 - 4 a^2, stable near the rod
+    lam = (zv.m / (2.0 * a)) * np.log(excess / (S + 2.0 * a))
+    mu = -(zv.m ** 2 / (2.0 * a ** 2)) * np.log(4.0 * Rp * Rm / S2m)
+    return rho, z, Rp, Rm, S, S2m, lam, mu
+
+
+def _floats(*vals):
+    return tuple(map(float, vals)) if np.ndim(vals[0]) == 0 else vals
 
 
 def zv_potentials(zv: ZVModel, rho, z):
     """(lam, mu) at (rho, z); accepts scalars or arrays, point off the rod."""
-    rho, z = _check_off_rod(zv, rho, z)
-    if zv.m == 0.0:
-        shape = np.broadcast(rho, z).shape
-        zero = np.zeros(shape)
-        return (zero if shape else 0.0), (zero if shape else 0.0)
-    Rp, Rm, S, excess = _rod_geometry(zv, rho, z)
-    lam = (zv.m / (2.0 * zv.a)) * np.log(excess / (S + 2.0 * zv.a))
-    mu = -(zv.m ** 2 / (2.0 * zv.a ** 2)) * np.log(
-        4.0 * Rp * Rm / (excess * (S + 2.0 * zv.a)))
-    if np.ndim(lam) == 0:
-        return float(lam), float(mu)
-    return lam, mu
+    return _floats(*_rod_fields(zv, rho, z)[6:])
 
 
-def zv_gradients(zv: ZVModel, rho, z):
-    """(lam_rho, lam_z, mu_rho, mu_z) in closed form."""
-    rho, z = _check_off_rod(zv, rho, z)
-    if zv.m == 0.0:
-        zero = np.zeros(np.broadcast(rho, z).shape)
-        return zero, zero, zero, zero
+def zv_fields(zv: ZVModel, rho, z):
+    """(lam, mu, lam_rho, lam_z, mu_rho, mu_z) in closed form, from one evaluation."""
+    rho, z, Rp, Rm, S, S2m, lam, mu = _rod_fields(zv, rho, z)
     a = zv.a
-    Rp, Rm, S, excess = _rod_geometry(zv, rho, z)
-    S2m = excess * (S + 2.0 * a)  # = S^2 - 4 a^2, stable near the rod
     S_rho = rho / Rp + rho / Rm
     S_z = (z + a) / Rp + (z - a) / Rm
-    lam_rho = 2.0 * zv.m * S_rho / S2m
-    lam_z = 2.0 * zv.m * S_z / S2m
     c = -(zv.m ** 2) / (2.0 * a * a)
-    mu_rho = c * (rho / Rp ** 2 + rho / Rm ** 2 - 2.0 * S * S_rho / S2m)
-    mu_z = c * ((z + a) / Rp ** 2 + (z - a) / Rm ** 2 - 2.0 * S * S_z / S2m)
-    return lam_rho, lam_z, mu_rho, mu_z
+    return _floats(lam, mu, 2.0 * zv.m * S_rho / S2m, 2.0 * zv.m * S_z / S2m,
+                   c * (rho / Rp ** 2 + rho / Rm ** 2 - 2.0 * S * S_rho / S2m),
+                   c * ((z + a) / Rp ** 2 + (z - a) / Rm ** 2 - 2.0 * S * S_z / S2m))
 
 
 @dataclass(frozen=True)
@@ -152,29 +140,25 @@ def vacuum_residuals(zv: ZVModel, rho_axis, z_axis) -> VacuumResiduals:
     """
     rho = np.asarray(rho_axis, dtype=float)
     z = np.asarray(z_axis, dtype=float)
-    if np.any(rho < 1e-3):
-        raise DomainError("grid must keep a margin >= 1e-3 off the rod axis")
+    if not (np.isfinite(rho).all() and np.isfinite(z).all() and (rho >= 1e-3).all()):
+        raise DomainError("grid must be finite and keep a margin >= 1e-3 off the rod axis")
     R, Z = np.meshgrid(rho, z, indexing="ij")
     # local scale = distance to the rod segment, the length over which
     # the potentials actually vary
     scale = np.hypot(R, np.maximum(np.abs(Z) - zv.a, 0.0))
     h = 1e-5 * scale
 
-    lr_p, _, _, _ = zv_gradients(zv, R + h, Z)
-    lr_m, _, _, _ = zv_gradients(zv, R - h, Z)
-    _, lz_p, _, _ = zv_gradients(zv, R, Z + h)
-    _, lz_m, _, _ = zv_gradients(zv, R, Z - h)
-    lam_rho, lam_z, mu_rho, mu_z = zv_gradients(zv, R, Z)
+    lam_p, mu_p, lr_p, _, _, _ = zv_fields(zv, R + h, Z)
+    lam_m, mu_m, lr_m, _, _, _ = zv_fields(zv, R - h, Z)
+    lam_pz, mu_pz, _, lz_p, _, _ = zv_fields(zv, R, Z + h)
+    lam_mz, mu_mz, _, lz_m, _, _ = zv_fields(zv, R, Z - h)
+    lam_rho = zv_fields(zv, R, Z)[2]
     lam_rr = (lr_p - lr_m) / (2.0 * h)
     lam_zz = (lz_p - lz_m) / (2.0 * h)
     res1 = lam_rr + lam_rho / R + lam_zz
 
-    lam_p, mu_p = zv_potentials(zv, R + h, Z)
-    lam_m, mu_m = zv_potentials(zv, R - h, Z)
     mu_rho_fd = (mu_p - mu_m) / (2.0 * h)
     lam_rho_fd = (lam_p - lam_m) / (2.0 * h)
-    lam_pz, mu_pz = zv_potentials(zv, R, Z + h)
-    lam_mz, mu_mz = zv_potentials(zv, R, Z - h)
     mu_z_fd = (mu_pz - mu_mz) / (2.0 * h)
     lam_z_fd = (lam_pz - lam_mz) / (2.0 * h)
     res2 = mu_rho_fd - R * (lam_rho_fd ** 2 - lam_z_fd ** 2)
@@ -193,14 +177,14 @@ def adm_flux(zv: ZVModel, radius: float) -> float:
     of the radius.  Axisymmetry reduces the integral to one polar
     Gauss-Legendre sweep of 64 nodes.
     """
-    if radius <= zv.a:
-        raise DomainError("flux sphere must enclose the rod: radius > a")
+    if not zv.a < radius < math.inf:
+        raise DomainError("flux sphere must enclose the rod: finite radius > a")
     x, w = gauss_nodes(64)
     theta = 0.5 * math.pi * (x + 1.0)
     wt = 0.5 * math.pi * w
     rho = radius * np.sin(theta)
     z = radius * np.cos(theta)
-    lam_rho, lam_z, _, _ = zv_gradients(zv, rho, z)
+    _, _, lam_rho, lam_z, _, _ = zv_fields(zv, rho, z)
     radial = np.sin(theta) * lam_rho + np.cos(theta) * lam_z
     integral = 2.0 * math.pi * float(np.sum(wt * radial * radius ** 2 * np.sin(theta)))
     return integral / (4.0 * math.pi)
@@ -212,11 +196,11 @@ def cylinder_area(zv: ZVModel, rho: float) -> float:
     The integrand develops boundary layers of width ~rho at z = +-a, so
     the quadrature refines dyadically toward the rod ends.
     """
-    if rho <= 0.0:
-        raise DomainError("cylinder area needs rho > 0")
+    if not 0.0 < rho < math.inf:
+        raise DomainError("cylinder area needs finite rho > 0")
 
     def f(zs):
-        lam, mu = zv_potentials(zv, np.full_like(zs, rho), zs)
+        lam, mu = zv_potentials(zv, rho, zs)
         return np.exp(mu - 2.0 * lam)
 
     inner = min(1e-3 * rho, 1e-3 * zv.a)
@@ -266,67 +250,53 @@ def energy_exponent(zv: ZVModel) -> tuple[float, str]:
     return expo, ("minus-infinity" if expo < 0.0 else "zero-mass")
 
 
-def level_set_mass_integrand(zv: ZVModel, rho: float, z: float, L: float) -> float:
-    """nu(h)^{4/3} for the level-set test function h = (L - e^lam)/(L - 1).
+def level_set_mass_integrand(zv: ZVModel, rho: float, z, L: float):
+    """z-integrand 2 pi rho nu(h)^{4/3} e^{mu - 2 lam} of the level-set energy.
 
-    nu(h)^{4/3} = |L-1|^{-4/3} e^{(4/3) lam - (4/3) mu}
-                  (lam_rho^2 + lam_z^2)^{2/3}.
+    For the test function h = (L - e^lam)/(L - 1), nu(h)^{4/3} =
+    |L-1|^{-4/3} e^{(4/3) lam - (4/3) mu} (lam_rho^2 + lam_z^2)^{2/3}, and
+    rho e^{mu - 2 lam} dtheta dz is the area element of the rho-cylinder.
+    z may be a scalar or an array.
     """
-    if abs(L - 1.0) < 1e-14:
-        raise DomainError("L = 1 degenerates the level-set test function")
-    lam, mu = zv_potentials(zv, rho, z)
-    lam_rho, lam_z, _, _ = zv_gradients(zv, rho, z)
-    grad2 = lam_rho ** 2 + lam_z ** 2
-    return (abs(L - 1.0) ** (-4.0 / 3.0)
-            * math.exp((4.0 / 3.0) * lam - (4.0 / 3.0) * mu)
-            * grad2 ** (2.0 / 3.0))
+    if not math.isfinite(L) or abs(L - 1.0) < 1e-14:
+        raise DomainError("L must be finite and not 1, which degenerates the test function")
+    lam, mu, lam_rho, lam_z, _, _ = zv_fields(zv, rho, z)
+    # one exponential for nu^{4/3} e^{mu - 2 lam}: (4/3)(lam - mu) + mu - 2 lam
+    return (2.0 * math.pi * rho * abs(L - 1.0) ** (-4.0 / 3.0)
+            * np.exp(-(2.0 * lam + mu) / 3.0)
+            * (lam_rho ** 2 + lam_z ** 2) ** (2.0 / 3.0))
 
 
 def level_set_energy(zv: ZVModel, rho: float, L: float | None = None) -> float:
     """Mass integral E(rho) = closed-int nu(h)^{4/3} dA over the rho-cylinder.
 
-    dA = rho e^{mu - 2 lam} dtheta dz on the cylinder.  When L is None
-    the level value e^{lam(rho, 0)} of the cylinder midplane is used,
-    mirroring the level-set surfaces the cylinders approximate.
+    When L is None the level value e^{lam(rho, 0)} of the cylinder
+    midplane is used, mirroring the level-set surfaces the cylinders
+    approximate.  With m = 0, e^lam is identically 1 and has no level
+    sets; the midplane value is then L = 1, which raises DomainError.
     """
-    if rho <= 0.0:
-        raise DomainError("need rho > 0")
+    if not 0.0 < rho < math.inf:
+        raise DomainError("need finite rho > 0")
     if L is None:
-        lam0, _ = zv_potentials(zv, rho, 0.0)
-        L = math.exp(lam0)
-
-    def f(zs):
-        zs = np.asarray(zs, dtype=float)
-        rr = np.full_like(zs, rho)
-        lam, mu = zv_potentials(zv, rr, zs)
-        lam_rho, lam_z, _, _ = zv_gradients(zv, rr, zs)
-        nu43 = (abs(L - 1.0) ** (-4.0 / 3.0)
-                * np.exp((4.0 / 3.0) * lam - (4.0 / 3.0) * mu)
-                * (lam_rho ** 2 + lam_z ** 2) ** (2.0 / 3.0))
-        return nu43 * np.exp(mu - 2.0 * lam)
-
+        L = math.exp(zv_potentials(zv, rho, 0.0)[0])
     inner = min(1e-3 * rho, 1e-3 * zv.a)
-    val = dyadic_gauss(f, -zv.a, zv.a, inner)
-    return 2.0 * math.pi * rho * val
-
-
-# Metric flux (1/4 pi) closed-integral <nu, grad e^lam>_g dA_g.  e^lam is
-# harmonic in the rod metric, so this flux is the same through every
-# enclosing surface, and the metric factors collapse: sqrt(g) g^{nn} times
-# d(e^lam)/dn reduces to rho dlam/dn in the flat (rho, z) half-plane, i.e.
-# exactly the flat flux of lam, which is m.  The capacity of the level set
-# e^lam = L is then |flux|/(L - 1).
-exp_lambda_flux = adm_flux
+    return dyadic_gauss(lambda zs: level_set_mass_integrand(zv, rho, zs, L),
+                        -zv.a, zv.a, inner)
 
 
 def level_set_capacity(zv: ZVModel, L: float) -> float:
     """Capacity |flux(e^lam)| / (L - 1) of the level set e^lam = L (m < 0).
 
-    The flux is taken through the sphere of radius 8a.
+    The flux is the metric flux (1/4 pi) closed-integral <nu, grad e^lam>_g
+    dA_g, taken through the sphere of radius 8a.  e^lam is harmonic in
+    the rod metric, so this flux is the same through every enclosing
+    surface, and the metric factors collapse: sqrt(g) g^{nn} times
+    d(e^lam)/dn reduces to rho dlam/dn in the flat (rho, z) half-plane,
+    i.e. exactly the flat flux of lam that ``adm_flux`` returns, which is m.
     """
-    if L <= 1.0:
-        raise DomainError("level sets approaching the rod need L > 1 (m < 0)")
-    return abs(exp_lambda_flux(zv, 8.0 * zv.a)) / (L - 1.0)
+    if not 1.0 < L < math.inf:
+        raise DomainError("level sets approaching the rod need finite L > 1 (m < 0)")
+    return abs(adm_flux(zv, 8.0 * zv.a)) / (L - 1.0)
 
 
 def reconstruct_mu(zv: ZVModel, rho: float, z: float) -> float:
@@ -337,6 +307,8 @@ def reconstruct_mu(zv: ZVModel, rho: float, z: float) -> float:
     agreement with the closed form at the target checks integrability
     of the first-order system.
     """
+    if not (math.isfinite(rho) and math.isfinite(z)):
+        raise DomainError("mu reconstruction needs a finite target point")
     x, w = gauss_nodes(64)
     rho_ref, z_ref = 40.0, 0.0
     _, mu_ref = zv_potentials(zv, rho_ref, z_ref)
@@ -344,13 +316,13 @@ def reconstruct_mu(zv: ZVModel, rho: float, z: float) -> float:
     mid = 0.5 * (rho + rho_ref)
     half = 0.5 * (rho - rho_ref)
     pts = mid + half * x
-    _, _, mu_r, _ = zv_gradients(zv, pts, np.full_like(pts, z_ref))
+    mu_r = zv_fields(zv, pts, z_ref)[4]
     leg1 = half * float(np.sum(w * mu_r))
 
     mid = 0.5 * (z + z_ref)
     half = 0.5 * (z - z_ref)
     pts = mid + half * x
-    _, _, _, mu_zv = zv_gradients(zv, np.full_like(pts, rho), pts)
-    leg2 = half * float(np.sum(w * mu_zv))
+    mu_z = zv_fields(zv, rho, pts)[5]
+    leg2 = half * float(np.sum(w * mu_z))
 
     return mu_ref + leg1 + leg2

@@ -238,6 +238,14 @@ def test_kappa1_no_shear_no_points():
     assert critical_points_kappa1(-1.0, 0.0) == ()
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("which", ["m", "gamma"])
+def test_kappa1_points_reject_non_finite(which, bad):
+    args = {"m": -1.0, "gamma": 0.5, which: bad}
+    with pytest.raises(ValidationError):
+        critical_points_kappa1(**args)
+
+
 def test_kappa1_points_zero_full_jacobian():
     model = LensModel(-1.0, 1.0, 0.2)
     for z in critical_points_kappa1(model.m, model.gamma):

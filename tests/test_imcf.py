@@ -209,6 +209,14 @@ def test_capacity_energy_bound_values():
         capacity_energy_bound(-1.0, 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("which", ["area0", "m0"])
+def test_capacity_energy_bound_rejects_non_finite(which, bad):
+    args = {"area0": 1.0, "m0": -1.0, which: bad}
+    with pytest.raises(DomainError):
+        capacity_energy_bound(**args)
+
+
 def test_flat_sphere_bound():
     check = verify_capacity_bound(FlatProfile(), 1.0)
     assert check.capacity == pytest.approx(1.0, rel=1e-9)

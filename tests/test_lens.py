@@ -429,6 +429,19 @@ def test_total_magnification_brute_force_identity():
         assert total_magnification_isolated(y, m) == pytest.approx(brute, abs=1e-10)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", [
+    lambda v: total_magnification_isolated(v, -1.0),
+    lambda v: total_magnification_isolated(3.0, v),
+    lambda v: light_curve(v, 3.0, [0.0]),
+    lambda v: light_curve(-1.0, v, [0.0]),
+    lambda v: light_curve(-1.0, 3.0, [0.0, v]),
+], ids=["total_y", "total_m", "curve_m", "curve_d", "curve_time"])
+def test_scalar_entry_points_reject_non_finite(call, bad):
+    with pytest.raises(ValidationError):
+        call(bad)
+
+
 # ---------------------------------------------------------------------------
 # light curves
 

@@ -6,9 +6,9 @@ import pytest
 from negmass.errors import DomainError, SingularPointError, ValidationError
 from negmass.weyl import (SQRT33_ENDPOINT, ZVModel, adm_flux,
                           cylinder_area, cylinder_area_exponent, energy_exponent,
-                          exp_lambda_flux, level_set_capacity, level_set_energy,
+                          level_set_capacity, level_set_energy,
                           level_set_mass_integrand, observed_cylinder_exponent,
-                          reconstruct_mu, vacuum_residuals, zv_gradients,
+                          reconstruct_mu, vacuum_residuals, zv_fields,
                           zv_potentials)
 
 
@@ -57,7 +57,7 @@ def test_on_rod_rejected():
     with pytest.raises(SingularPointError):
         zv_potentials(zv, 0.0, 0.5)
     with pytest.raises(SingularPointError):
-        zv_gradients(zv, 0.0, -1.0)
+        zv_fields(zv, 0.0, -1.0)
     # just past the rod end on the axis is fine
     lam, _ = zv_potentials(zv, 0.0, 1.5)
     assert math.isfinite(lam)
@@ -68,11 +68,27 @@ def test_zero_mass_trivial():
     assert lam == 0.0 and mu == 0.0
 
 
+@pytest.mark.parametrize("m", [1.3, 0.0, -1.0])
+def test_fields_scalar_floats_and_arrays_pointwise(m):
+    zv = ZVModel(m, 1.0)
+    rho = np.array([0.5, 2.0, 0.0, 1e-3])
+    z = np.array([0.3, -1.2, 1.5, 0.999])
+    for fn, width in ((zv_potentials, 2), (zv_fields, 6)):
+        arrays = fn(zv, rho, z)
+        assert len(arrays) == width
+        for i in range(rho.size):
+            scalars = fn(zv, float(rho[i]), float(z[i]))
+            assert all(type(v) is float for v in scalars)
+            assert [float(col[i]) for col in arrays] == list(scalars)
+    # the potentials are the leading pair of the fields
+    assert zv_fields(zv, 0.5, 0.3)[:2] == zv_potentials(zv, 0.5, 0.3)
+
+
 def test_gradients_match_finite_differences():
     zv = ZVModel(1.3, 1.0)
     h = 1e-6
     for rho, z in ((0.5, 0.3), (2.0, -1.2), (0.2, 1.4)):
-        lam_rho, lam_z, mu_rho, mu_z = zv_gradients(zv, rho, z)
+        _, _, lam_rho, lam_z, mu_rho, mu_z = zv_fields(zv, rho, z)
         lam_p, mu_p = zv_potentials(zv, rho + h, z)
         lam_m, mu_m = zv_potentials(zv, rho - h, z)
         assert lam_rho == pytest.approx((lam_p - lam_m) / (2 * h), abs=1e-8)
@@ -244,6 +260,22 @@ def test_level_set_integrand_values():
         level_set_mass_integrand(ZVModel(-1.0, 1.0), 1e-3, 0.0, 1.0)
 
 
+def test_level_set_integrand_array_matches_scalar_calls():
+    zv = ZVModel(-1.3, 1.0)
+    zs = np.array([-0.999, -0.4, 0.0, 0.7, 0.9999])
+    vals = level_set_mass_integrand(zv, 1e-3, zs, 2.0)
+    assert vals.shape == zs.shape
+    assert list(vals) == [level_set_mass_integrand(zv, 1e-3, float(z), 2.0) for z in zs]
+
+
+def test_level_set_energy_degenerate_levels_rejected():
+    # m = 0: e^lam is 1 everywhere, so the midplane level value is L = 1
+    with pytest.raises(DomainError):
+        level_set_energy(ZVModel(0.0, 1.0), 1e-3)
+    with pytest.raises(DomainError):
+        level_set_energy(ZVModel(-1.0, 1.0), 1e-3, 1.0)
+
+
 def test_level_set_scaling_in_L():
     # (L-1)^{-4/3} is the entire L dependence: scaled values coincide
     zv = ZVModel(-1.0, 1.0)
@@ -279,7 +311,7 @@ def test_exp_lambda_flux_equals_rod_mass():
     # of lam, so it is exactly m at every radius
     zv = ZVModel(-1.0, 1.0)
     for radius in (2.0, 50.0):
-        assert exp_lambda_flux(zv, radius) == pytest.approx(zv.m, abs=1e-9)
+        assert adm_flux(zv, radius) == pytest.approx(zv.m, abs=1e-9)
 
 
 def test_level_set_capacities_shrink():
@@ -289,3 +321,32 @@ def test_level_set_capacities_shrink():
     assert caps[-1] < caps[0] / 10.0
     with pytest.raises(DomainError):
         level_set_capacity(zv, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# non-finite arguments
+
+_ZV = ZVModel(-1.0, 1.0)
+_GRID = np.linspace(0.2, 2.0, 4)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", [
+    lambda v: cylinder_area(_ZV, v),
+    lambda v: adm_flux(_ZV, v),
+    lambda v: level_set_energy(_ZV, v),
+    lambda v: level_set_energy(_ZV, 1e-3, v),
+    lambda v: level_set_capacity(_ZV, v),
+    lambda v: level_set_mass_integrand(_ZV, 1e-3, 0.0, v),
+    lambda v: reconstruct_mu(_ZV, v, 0.0),
+    lambda v: reconstruct_mu(_ZV, 0.5, v),
+    lambda v: vacuum_residuals(_ZV, np.append(_GRID, v), _GRID),
+    lambda v: vacuum_residuals(_ZV, _GRID, np.append(_GRID, v)),
+    lambda v: zv_potentials(_ZV, v, 0.0),
+    lambda v: zv_fields(_ZV, 0.5, v),
+], ids=["cylinder_area", "adm_flux", "energy_rho", "energy_L", "capacity",
+        "integrand_L", "reconstruct_rho", "reconstruct_z", "residuals_rho",
+        "residuals_z", "potentials", "fields"])
+def test_non_finite_arguments_rejected(call, bad):
+    with pytest.raises(DomainError):
+        call(bad)
