@@ -139,8 +139,6 @@ def _parse_pair(text: str, what: str) -> complex:
 
 
 def _profile_from_args(args) -> sph.RadialProfile:
-    if args.profile is None:
-        raise ValidationError("missing required flag --profile")
     return sph.build_profile(args.profile, mass=args.mass, k=args.k,
                              p=args.p, file=args.file)
 

@@ -18,6 +18,12 @@ float, arrays shaped like r otherwise.
 
     A, dA, d2A = profile.eval(np.geomspace(1e-3, 1e3, 200))
 
+A synthetic metric is one array callable of the same shape,
+``CustomProfile(fn, r_min, r_max)``: fn(r) takes an array of radii and
+returns (A, A', A''), each broadcastable to the shape of r.
+
+    flat = CustomProfile(lambda r: (4 * np.pi * r * r, 8 * np.pi * r, 8 * np.pi))
+
 ``area``, ``d_area`` and ``d2_area`` are one-line accessors on the base
 class.  The pointwise functionals make one ``eval`` call and accept
 arrays as well.  The ADM mass is the large-r limit of the
@@ -256,22 +262,18 @@ class PowerLawProfile(RadialProfile):
 
 
 class CustomProfile(RadialProfile):
-    """Profile from explicit area callables (synthetic test metrics).
-
-    The callables take one float each; ``eval`` applies them radius by
-    radius.
-    """
+    """Profile from one array callable fn(r) -> (A, A', A''), as in the
+    module docstring (synthetic test metrics)."""
 
     kind = "custom"
 
-    def __init__(self, area, d_area, d2_area, r_min=0.0, r_max=math.inf):
+    def __init__(self, fn, r_min=0.0, r_max=math.inf):
         super().__init__(r_min, r_max)
-        self._fns = (area, d_area, d2_area)
+        self._fn = fn
 
     def eval(self, r):
         r = self._check(r)
-        vals = np.array([[f(x) for x in r.flat] for f in self._fns], dtype=float)
-        return _like(r, *vals.reshape((3,) + r.shape))
+        return _like(r, *(np.broadcast_to(v, r.shape).astype(float) for v in self._fn(r)))
 
 
 def bump_profile() -> CustomProfile:
@@ -281,28 +283,52 @@ def bump_profile() -> CustomProfile:
     this is the stock counterexample for R >= 0 hypotheses.
     """
 
-    def parts(r):
-        e = math.exp(-((r - 5.0) ** 2))
-        return (1.0 + 0.3 * e, -2.0 * 0.3 * (r - 5.0) * e,
-                0.3 * (4.0 * (r - 5.0) ** 2 - 2.0) * e)
+    def fn(r):
+        u = r - 5.0
+        e = np.exp(-u * u)
+        B, dB, d2B = 1.0 + 0.3 * e, -0.6 * u * e, 0.3 * (4.0 * u * u - 2.0) * e
+        return (FOUR_PI * r * r * B, FOUR_PI * (2.0 * r * B + r * r * dB),
+                FOUR_PI * (2.0 * B + 4.0 * r * dB + r * r * d2B))
 
-    def area(r):
-        B, _, _ = parts(r)
-        return FOUR_PI * r * r * B
+    return CustomProfile(fn)
 
-    def d_area(r):
-        B, dB, _ = parts(r)
-        return FOUR_PI * (2.0 * r * B + r * r * dB)
 
-    def d2_area(r):
-        B, dB, d2B = parts(r)
-        return FOUR_PI * (2.0 * B + 4.0 * r * dB + r * r * d2B)
+def _not_a_knot(x: np.ndarray, y: np.ndarray):
+    """Per-interval coefficients (y, s, c2, c3) of the not-a-knot cubic spline
+    through (x, y), x.size >= 4: y + s t + c2 t^2 + c3 t^3, t = r - x[i].
 
-    return CustomProfile(area, d_area, d2_area)
+    C^2 continuity at the interior knots, and a continuous third
+    derivative at the second and the next-to-last knot, make a
+    tridiagonal system for the knot slopes s (de Boor, A Practical Guide
+    to Splines, 1978, ch. IV).  One Thomas sweep solves it without
+    pivoting: every pivot stays positive, and each interior one is at
+    least the sum of its two intervals.
+    """
+    h = np.diff(x)
+    d = np.diff(y) / h
+    w0, w1 = h[0] + h[1], h[-2] + h[-1]
+    # row i: sub[i] s[i-1] + diag[i] s[i] + sup[i] s[i+1] = rhs[i]
+    sub = [0.0, *h[1:], w1]
+    diag = [h[1], *(2.0 * (h[:-1] + h[1:])), h[-2]]
+    sup = [w0, *h[:-1], 0.0]
+    rhs = [((h[0] + 2.0 * w0) * h[1] * d[0] + h[0] ** 2 * d[1]) / w0,
+           *(3.0 * (h[1:] * d[:-1] + h[:-1] * d[1:])),
+           (h[-1] ** 2 * d[-2] + (2.0 * w1 + h[-1]) * h[-2] * d[-1]) / w1]
+    n = len(rhs)
+    for i in range(1, n):
+        f = sub[i] / diag[i - 1]
+        diag[i] -= f * sup[i - 1]
+        rhs[i] -= f * rhs[i - 1]
+    rhs[-1] /= diag[-1]
+    for i in range(n - 2, -1, -1):
+        rhs[i] = (rhs[i] - sup[i] * rhs[i + 1]) / diag[i]
+    s = np.array(rhs)
+    k = (s[:-1] + s[1:] - 2.0 * d) / h
+    return y[:-1], s[:-1], (d - s[:-1]) / h - k, k / h
 
 
 class TabulatedProfile(RadialProfile):
-    """C^2 cubic-spline profile through (r, A) samples.
+    """C^2 not-a-knot cubic-spline profile through (r, A) samples.
 
     Requires strictly increasing r, positive finite A, at least 8
     samples per decade adjacent to each endpoint, and monotone
@@ -312,8 +338,6 @@ class TabulatedProfile(RadialProfile):
     kind = "tabulated"
 
     def __init__(self, rs, As):
-        from scipy.interpolate import CubicSpline
-
         rs = np.asarray(rs, dtype=float)
         As = np.asarray(As, dtype=float)
         if rs.ndim != 1 or rs.size < 4 or As.shape != rs.shape:
@@ -331,18 +355,26 @@ class TabulatedProfile(RadialProfile):
                     raise ValidationError(
                         "need >= 8 samples per decade near the endpoints")
         super().__init__(rs[0], rs[-1])
-        self._spline = CubicSpline(rs, As)
-        self._d1 = self._spline.derivative(1)
-        self._d2 = self._spline.derivative(2)
+        self._knots = rs
+        self._coef = _not_a_knot(rs, As)
         for lo, hi in ((rs[0], rs[min(8, rs.size - 1)]),
                        (rs[max(-9, -rs.size)], rs[-1])):
-            probe = np.linspace(lo, hi, 33)
-            if np.any(self._d1(probe) < 0):
+            if np.any(self._cubic(np.linspace(lo, hi, 33))[1] < 0):
                 raise ValidationError("interpolated A must be monotone near endpoints")
+
+    def _cubic(self, r: np.ndarray):
+        """(A, A', A'') of the spline piece holding each r (end pieces extend)."""
+        i = np.clip(np.searchsorted(self._knots, r, side="right") - 1,
+                    0, self._knots.size - 2)
+        t = r - self._knots[i]
+        y, s, c2, c3 = (c[i] for c in self._coef)
+        return (((c3 * t + c2) * t + s) * t + y,
+                (3.0 * c3 * t + 2.0 * c2) * t + s,
+                6.0 * c3 * t + 2.0 * c2)
 
     def eval(self, r):
         r = self._check(r)
-        return _like(r, self._spline(r), self._d1(r), self._d2(r))
+        return _like(r, *self._cubic(r))
 
 
 def parse_profile_file(path) -> TabulatedProfile:
@@ -498,7 +530,6 @@ class MassReport:
     classification: str
     regular_mass: float
     capacity_center: float
-    adm: float | None = None
 
     def __post_init__(self):
         if self.capacity_center > 0.0 and self.classification != "minus-infinity":

@@ -31,6 +31,9 @@ from .errors import DomainError, SingularPointError, ValidationError
 from .numerics import dyadic_gauss, gauss_nodes
 
 SQRT33_ENDPOINT = (math.sqrt(33.0) - 3.0) / 4.0  # positive root of (2/3)x^2 + x - 1
+# smallest rho/a the rod quadratures accept: below it the dyadic panels
+# cannot resolve the end layers of width ~rho against the rounding of z = +-a
+RHO_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -190,14 +193,19 @@ def adm_flux(zv: ZVModel, radius: float) -> float:
     return integral / (4.0 * math.pi)
 
 
+def _check_rho(zv: ZVModel, rho: float) -> None:
+    if not RHO_FLOOR * zv.a <= rho < math.inf:
+        raise DomainError(f"rod quadratures need finite rho >= {RHO_FLOOR:g} a, got {rho}")
+
+
 def cylinder_area(zv: ZVModel, rho: float) -> float:
     """Area 2 pi rho int_-a^a e^{mu - 2 lam} dz of the rho-cylinder around the rod.
 
     The integrand develops boundary layers of width ~rho at z = +-a, so
-    the quadrature refines dyadically toward the rod ends.
+    the quadrature refines dyadically toward the rod ends; it needs
+    rho >= RHO_FLOOR * a.
     """
-    if not 0.0 < rho < math.inf:
-        raise DomainError("cylinder area needs finite rho > 0")
+    _check_rho(zv, rho)
 
     def f(zs):
         lam, mu = zv_potentials(zv, rho, zs)
@@ -274,9 +282,9 @@ def level_set_energy(zv: ZVModel, rho: float, L: float | None = None) -> float:
     midplane is used, mirroring the level-set surfaces the cylinders
     approximate.  With m = 0, e^lam is identically 1 and has no level
     sets; the midplane value is then L = 1, which raises DomainError.
+    Like ``cylinder_area`` it needs rho >= RHO_FLOOR * a.
     """
-    if not 0.0 < rho < math.inf:
-        raise DomainError("need finite rho > 0")
+    _check_rho(zv, rho)
     if L is None:
         L = math.exp(zv_potentials(zv, rho, 0.0)[0])
     inner = min(1e-3 * rho, 1e-3 * zv.a)

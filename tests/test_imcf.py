@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -81,8 +82,8 @@ def test_flow_validates_inputs():
 
 def test_flow_past_bounded_domain_raises():
     # A' > 0 up to r_max = 3: the flow leaves the domain before t_end
-    prof = CustomProfile(lambda r: FOUR_PI * r * r, lambda r: 2.0 * FOUR_PI * r,
-                         lambda r: 2.0 * FOUR_PI, r_min=0.0, r_max=3.0)
+    prof = CustomProfile(lambda r: (FOUR_PI * r * r, 2.0 * FOUR_PI * r, 2.0 * FOUR_PI),
+                         r_min=0.0, r_max=3.0)
     with pytest.raises(DomainError):
         imcf_flow(prof, 1.0, 5.0)
     for r_end in (math.e, 2.999):  # the second lies within 1/64 of the gap below r_max
@@ -93,9 +94,7 @@ def test_flow_past_bounded_domain_raises():
 def test_flow_halts_at_horizon():
     # A = 4 pi (2 + cos r): A' vanishes at r = 2 pi ahead of the start
     prof = CustomProfile(
-        lambda r: FOUR_PI * (2.0 + math.cos(r)),
-        lambda r: -FOUR_PI * math.sin(r),
-        lambda r: -FOUR_PI * math.cos(r),
+        lambda r: (FOUR_PI * (2.0 + np.cos(r)), -FOUR_PI * np.sin(r), -FOUR_PI * np.cos(r)),
         r_min=0.0, r_max=4.0 * math.pi)
     trace = imcf_flow(prof, 3.5, 50.0)
     assert trace.halted_at_horizon
@@ -108,9 +107,9 @@ def test_flow_halts_at_horizon():
 def test_flow_halts_at_tangential_horizon():
     # A = 4 pi (1 + (r - 2)^3): A' = 12 pi (r - 2)^2 touches zero at r = 2 and
     # rises again; no scan radius lands on it, and A' stays positive at all of them
-    prof = CustomProfile(lambda r: FOUR_PI * (1.0 + (r - 2.0) ** 3),
-                         lambda r: 3.0 * FOUR_PI * (r - 2.0) ** 2,
-                         lambda r: 6.0 * FOUR_PI * (r - 2.0), r_min=1.0)
+    prof = CustomProfile(lambda r: (FOUR_PI * (1.0 + (r - 2.0) ** 3),
+                                    3.0 * FOUR_PI * (r - 2.0) ** 2,
+                                    6.0 * FOUR_PI * (r - 2.0)), r_min=1.0)
     trace = imcf_flow(prof, 1.5, 5.0)
     assert trace.halted_at_horizon
     assert trace.final().r == pytest.approx(2.0, abs=1e-12)
@@ -119,9 +118,9 @@ def test_flow_halts_at_tangential_horizon():
 
 def test_flow_passes_positive_minimum_of_slope():
     # the same cubic with A' >= 4 pi 1e-4: a shallow minimum is no horizon
-    prof = CustomProfile(lambda r: FOUR_PI * (1.0 + (r - 2.0) ** 3 + 1e-4 * r),
-                         lambda r: FOUR_PI * (3.0 * (r - 2.0) ** 2 + 1e-4),
-                         lambda r: 6.0 * FOUR_PI * (r - 2.0), r_min=1.0)
+    prof = CustomProfile(lambda r: (FOUR_PI * (1.0 + (r - 2.0) ** 3 + 1e-4 * r),
+                                    FOUR_PI * (3.0 * (r - 2.0) ** 2 + 1e-4),
+                                    6.0 * FOUR_PI * (r - 2.0)), r_min=1.0)
     trace = imcf_flow(prof, 1.5, 3.0)
     assert not trace.halted_at_horizon and trace.final().t == 3.0
     a0 = trace.states[0].area
@@ -133,9 +132,9 @@ def test_flow_halts_at_dip_between_scan_radii():
     # A = r + 0.005 sin(402 (r - 1)): the oscillation of A' has nearly the scan
     # spacing r/64, so every scan radius sees A' ~ 3 while A' < 0 in between
     w = 402.0
-    prof = CustomProfile(lambda r: r + 0.005 * math.sin(w * (r - 1.0)),
-                         lambda r: 1.0 + 0.005 * w * math.cos(w * (r - 1.0)),
-                         lambda r: -0.005 * w * w * math.sin(w * (r - 1.0)), r_min=0.5)
+    prof = CustomProfile(lambda r: (r + 0.005 * np.sin(w * (r - 1.0)),
+                                    1.0 + 0.005 * w * np.cos(w * (r - 1.0)),
+                                    -0.005 * w * w * np.sin(w * (r - 1.0))), r_min=0.5)
     phase = math.acos(-1.0 / (0.005 * w))  # first zero of A'
     trace = imcf_flow(prof, 1.0, 5.0)
     assert trace.halted_at_horizon
@@ -146,16 +145,13 @@ def test_flow_halts_at_dip_between_scan_radii():
 @pytest.mark.parametrize("width", [1e-3, 1e-5, 1e-7])
 def test_flow_halts_at_narrow_dip(width):
     # A' = 1 - 3 exp(-((r - 1.3)/width)^2) dips below zero far inside one scan interval
-    def area(r):
-        return r - 1.5 * width * math.sqrt(math.pi) * math.erf((r - 1.3) / width)
+    def fn(r):
+        u = (r - 1.3) / width
+        e = np.exp(-u * u)
+        erf = np.vectorize(math.erf)(u)
+        return r - 1.5 * width * math.sqrt(math.pi) * erf, 1.0 - 3.0 * e, 6.0 * u / width * e
 
-    def slope(r):
-        return 1.0 - 3.0 * math.exp(-(((r - 1.3) / width) ** 2))
-
-    def curve(r):
-        return 6.0 * (r - 1.3) / width ** 2 * math.exp(-(((r - 1.3) / width) ** 2))
-
-    trace = imcf_flow(CustomProfile(area, slope, curve, r_min=0.5), 1.0, 5.0)
+    trace = imcf_flow(CustomProfile(fn, r_min=0.5), 1.0, 5.0)
     assert trace.halted_at_horizon
     r_h = 1.3 - width * math.sqrt(math.log(3.0))
     assert trace.final().r == pytest.approx(r_h, abs=1e-15)
@@ -163,8 +159,7 @@ def test_flow_halts_at_narrow_dip(width):
 
 def test_flow_rejects_slope_that_contradicts_area():
     # d_area is twice the derivative of area: no resampling reconciles them
-    prof = CustomProfile(lambda r: FOUR_PI * r * r, lambda r: 4.0 * FOUR_PI * r,
-                         lambda r: 4.0 * FOUR_PI)
+    prof = CustomProfile(lambda r: (FOUR_PI * r * r, 4.0 * FOUR_PI * r, 4.0 * FOUR_PI))
     with pytest.raises(NumericalError):
         imcf_flow(prof, 1.0, 2.0)
 

@@ -19,11 +19,9 @@ K_SCHW = 16.0 * math.pi * (3.0 / 4.0) ** (4.0 / 3.0)  # A ~ k s^{4/3} for |m| = 
 
 def three_sphere_profile():
     # A = 4 pi sin^2 r: the unit round 3-sphere
-    return CustomProfile(
-        lambda r: 4 * math.pi * math.sin(r) ** 2,
-        lambda r: 4 * math.pi * math.sin(2 * r),
-        lambda r: 8 * math.pi * math.cos(2 * r),
-        r_min=0.0, r_max=math.pi)
+    return CustomProfile(lambda r: (4 * math.pi * np.sin(r) ** 2, 4 * math.pi * np.sin(2 * r),
+                                    8 * math.pi * np.cos(2 * r)),
+                         r_min=0.0, r_max=math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -190,19 +188,13 @@ def test_adm_bump():
 
 def test_adm_rejects_nonflat_tail():
     # log-periodic area modulation never settles to a flat tail
-    def B(r):
-        return 1.0 + 0.3 * math.sin(math.log(r))
+    def fn(r):
+        s, c = np.sin(np.log(r)), np.cos(np.log(r))
+        B, dB, d2B = 1.0 + 0.3 * s, 0.3 * c / r, -0.3 * (c + s) / r ** 2
+        return (4 * math.pi * r * r * B, 4 * math.pi * (2 * r * B + r * r * dB),
+                4 * math.pi * (2 * B + 4 * r * dB + r * r * d2B))
 
-    def dB(r):
-        return 0.3 * math.cos(math.log(r)) / r
-
-    def d2B(r):
-        return -0.3 * (math.cos(math.log(r)) + math.sin(math.log(r))) / r ** 2
-
-    prof = CustomProfile(
-        lambda r: 4 * math.pi * r * r * B(r),
-        lambda r: 4 * math.pi * (2 * r * B(r) + r * r * dB(r)),
-        lambda r: 4 * math.pi * (2 * B(r) + 4 * r * dB(r) + r * r * d2B(r)))
+    prof = CustomProfile(fn)
     with pytest.raises(NonConvergenceError):
         adm_mass(prof)
 
@@ -239,16 +231,13 @@ def test_regular_mass_oscillatory_error():
     # area modulated so halving r flips the modulation: forces oscillation
     k = K_SCHW
 
-    def B(r):
-        return 1.0 + 0.3 * math.sin(math.pi * math.log2(r))
+    def fn(r):
+        B = 1.0 + 0.3 * np.sin(math.pi * np.log2(r))
+        dB = 0.3 * np.cos(math.pi * np.log2(r)) * math.pi / (r * math.log(2))
+        return (k * r ** (4 / 3) * B, k * (4 / 3) * r ** (1 / 3) * B + k * r ** (4 / 3) * dB,
+                0.0)
 
-    def dB(r):
-        return 0.3 * math.cos(math.pi * math.log2(r)) * math.pi / (r * math.log(2))
-
-    prof = CustomProfile(
-        lambda r: k * r ** (4 / 3) * B(r),
-        lambda r: k * (4 / 3) * r ** (1 / 3) * B(r) + k * r ** (4 / 3) * dB(r),
-        lambda r: 0.0)
+    prof = CustomProfile(fn)
     with pytest.raises(NonConvergenceError) as err:
         regular_mass(prof)
     assert len(err.value.samples) == 4
@@ -447,9 +436,41 @@ def test_tabulated_requires_endpoint_density():
         TabulatedProfile(rs, 4 * math.pi * rs ** 2)
 
 
-def test_import_loads_no_scipy():
-    # the package and its CLI are numpy-only; CubicSpline loads with the first
-    # tabulated profile
+def _cubic(r):
+    # A' = 3 - 3 (r - 1.5)^2 > 0 on [1, 2]; A'' changes sign at r = 1.5
+    u = r - 1.5
+    return 2.0 + 3.0 * u - u ** 3, 3.0 - 3.0 * u * u, -6.0 * u
+
+
+@pytest.mark.parametrize("n", [4, 5, 9, 40])
+def test_tabulated_reproduces_cubics(n):
+    # not-a-knot end conditions make the spline of cubic data that cubic
+    rs = np.geomspace(1.0, 2.0, n)
+    prof = TabulatedProfile(rs, _cubic(rs)[0])
+    grid = np.linspace(1.0, 2.0, 1001)[1:-1]
+    for got, want in zip(prof.eval(grid), _cubic(grid)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("table", ["flat", "bump"])
+def test_tabulated_matches_scipy_cubic_spline(table):
+    interpolate = pytest.importorskip("scipy.interpolate")
+    if table == "flat":
+        rs, As = _flat_samples()
+    else:
+        rs = np.linspace(0.5, 12.0, 500)
+        As = bump_profile().area(rs)
+    ref = interpolate.CubicSpline(rs, As)
+    grid = np.concatenate((rs[1:-1], np.linspace(rs[0], rs[-1], 5001)[1:-1]))
+    A, dA, d2A = TabulatedProfile(rs, As).eval(grid)
+    assert np.max(np.abs(A / ref(grid) - 1.0)) <= 1.4e-15
+    for got, nu, tol in ((dA, 1, 1e-15), (d2A, 2, 3e-12)):
+        want = ref(grid, nu)
+        assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+
+def test_import_loads_no_scipy(tmp_path):
+    # the package, its CLI and tabulated profiles run with scipy unimportable
     import negmass
 
     src = os.path.dirname(os.path.dirname(negmass.__file__))
@@ -458,3 +479,22 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
+
+    rs, As = _flat_samples()
+    table = tmp_path / "profile.csv"
+    table.write_text("r,A\n" + "".join(f"{r!r},{a!r}\n" for r, a in zip(rs.tolist(),
+                                                                       As.tolist())),
+                     encoding="utf-8")
+    code = ("import sys; sys.modules['scipy'] = None\n"
+            "import numpy as np\n"
+            "from negmass.cli import run\n"
+            "from negmass.spherical import TabulatedProfile\n"
+            "rs = np.geomspace(0.1, 100.0, 400)\n"
+            "print(TabulatedProfile(rs, 4 * np.pi * rs ** 2).eval(1.0)[0])\n"
+            "sys.exit(run(['spherical-report', '--profile', 'tabulated', '--file', sys.argv[1],"
+            " '--r0', '1.0', '--out', sys.argv[2]]))\n")
+    out = subprocess.run([sys.executable, "-c", code, str(table), str(tmp_path / "r.csv")],
+                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    assert float(out.stdout) == pytest.approx(4 * math.pi, rel=1e-14)
+    assert (tmp_path / "r.csv").read_text(encoding="utf-8").startswith("quantity,value\nkind,tabulated")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from negmass.errors import DomainError, SingularPointError, ValidationError
-from negmass.weyl import (SQRT33_ENDPOINT, ZVModel, adm_flux,
+from negmass.weyl import (RHO_FLOOR, SQRT33_ENDPOINT, ZVModel, adm_flux,
                           cylinder_area, cylinder_area_exponent, energy_exponent,
                           level_set_capacity, level_set_energy,
                           level_set_mass_integrand, observed_cylinder_exponent,
@@ -168,6 +168,29 @@ def test_cylinder_area_flat():
 def test_cylinder_area_requires_positive_rho():
     with pytest.raises(DomainError):
         cylinder_area(ZVModel(1.0, 1.0), 0.0)
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("x", [-2.0, -1.0, -0.5, 0.5, 1.3, 1.6])
+def test_rod_quadratures_keep_their_slope_down_to_the_floor(x, a):
+    # the last decade above RHO_FLOOR * a scales like the decade before it
+    zv = ZVModel(x * a, a)
+    for f in (cylinder_area, level_set_energy):
+        def g(r):
+            return f(zv, r * a)
+        assert log_slope(g, 1e-9, 1e-10) == pytest.approx(log_slope(g, 1e-8, 1e-9),
+                                                          rel=0.015)
+
+
+@pytest.mark.parametrize("m, rho", [(-1.0, 0.99e-10), (1.6, 1e-22), (-0.5, 1e-26),
+                                    (1.3, 1e-200), (-1.0, 1e-150), (1.6, 1e-140)])
+def test_rod_quadratures_reject_rho_below_floor(m, rho):
+    # below the floor the dyadic panels return wrong slopes, 0, NaN or denormals
+    zv = ZVModel(m, 1.0)
+    assert rho < RHO_FLOOR * zv.a
+    for f in (cylinder_area, level_set_energy):
+        with pytest.raises(DomainError):
+            f(zv, rho)
 
 
 def test_cylinder_area_exponent_values():
