@@ -25,9 +25,10 @@ import numpy as np
 
 from .errors import (BoundaryRegimeError, DegenerateKappaError, DomainError,
                      NumericalError, ValidationError)
-from .lens import LensModel, _eta, _rotated_out_of_frame, find_images, lens_map
+from .lens import LensModel, _eta, _rotated, find_images, lens_map
 
 GAP_TOL = 1e-9  # |e^{-i phi} - gamma*| below this is a parametrization gap
+SCAN_RESOLUTION = 10 ** 4  # phi grid on which scan_cusps brackets the cusps
 _NAN = complex(math.nan, math.nan)  # z and y at a gap
 
 
@@ -69,14 +70,6 @@ def reduce(model: LensModel) -> ReducedLens:
     scale = abs(1.0 - model.kappa)
     eps = 1 if model.kappa < 1.0 else -1
     return ReducedLens(model.m / scale, model.gamma / scale, eps)
-
-
-def unreduce(reduced: ReducedLens, kappa: float) -> LensModel:
-    """Rebuild the full model carrying the given kappa (inverse of reduce)."""
-    if (kappa < 1.0) != (reduced.eps_kappa == 1):
-        raise DomainError("kappa is on the wrong side of 1 for this eps_kappa")
-    scale = abs(1.0 - kappa)
-    return LensModel(reduced.m_star * scale, kappa, reduced.gamma_star * scale)
 
 
 def _z_plus(phi: np.ndarray, reduced: ReducedLens) -> np.ndarray:
@@ -136,7 +129,7 @@ def caustic_curve(reduced: ReducedLens, model: LensModel, n_samples: int) -> np.
     with its image under the full lens map in the added record fields
     ``y_plus`` and ``y_minus`` (NaN at gaps, like z)."""
     curve = critical_curve(reduced, n_samples)
-    z = _rotated_out_of_frame(curve.z_plus, model)
+    z = _rotated(curve.z_plus, model.theta)
     # eta is odd, so the minus branch maps to -y
     y = np.where(curve.gap, _NAN, _eta(np.where(curve.gap, 1.0, z), model))
     return np.rec.fromarrays((curve.phi, z, -z, curve.gap, y, -y),
@@ -237,23 +230,23 @@ def cusp_angles(reduced: ReducedLens) -> CuspSet:
     return CuspSet(tuple(selected), 2 * len(selected), regime, reduced.eps_kappa)
 
 
-def scan_cusps(reduced: ReducedLens, resolution: int = 10 ** 4) -> list[float]:
+def scan_cusps(reduced: ReducedLens) -> list[float]:
     """Locate cusps from the numerical condition alone (no closed form).
 
-    Evaluates Im(w^3) on a uniform phi grid in one array call, refines
-    all sign-change brackets together by bisection, and keeps the angles
-    whose Re(w^3) has sign opposite to eps.  Used to cross-validate
-    cusp_angles.
+    Evaluates Im(w^3) on SCAN_RESOLUTION uniform angles in one array
+    call, bisects all sign-change brackets together, and keeps the angles
+    whose Re(w^3) has sign opposite to eps.  Only tests call it, as the
+    numerical check of the closed-form cusps of ``cusp_angles``.
     """
     g = reduced.gamma_star
     if g == 0.0:
         return []
     two_pi = 2.0 * math.pi
-    phis = np.linspace(0.0, two_pi, resolution, endpoint=False)
+    phis = np.linspace(0.0, two_pi, SCAN_RESOLUTION, endpoint=False)
     vals = im_w3(phis, g)
     bracket = vals * np.roll(vals, -1) < 0.0
     lo, flo = phis[bracket], vals[bracket]
-    hi = lo + two_pi / resolution
+    hi = lo + two_pi / SCAN_RESOLUTION
     while (hi - lo > 1e-13 * np.maximum(1.0, hi)).any():
         mid = 0.5 * (lo + hi)
         fmid = im_w3(mid, g)
@@ -289,7 +282,7 @@ def _caustic_segments(model: LensModel, n: int) -> tuple[np.ndarray, np.ndarray]
     if model.m == 0.0:
         return np.empty(0, dtype=complex), np.empty(0, dtype=complex)
     if model.kappa == 1.0:
-        pts = np.array([lens_map(_rotated_out_of_frame(z, model), model)
+        pts = np.array([lens_map(_rotated(z, model.theta), model)
                         for z in critical_points_kappa1(model.m, model.gamma)], dtype=complex)
         return pts, pts
     curve = caustic_curve(reduce(model), model, n)

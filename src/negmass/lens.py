@@ -65,32 +65,6 @@ class LensModel:
 
 
 @dataclass(frozen=True)
-class LensGeometry:
-    """Physical lens geometry: angular diameter distances, mass, redshift.
-
-    The critical surface density is sigma_c = d_s / (2 pi d_l d_ls).
-    """
-
-    d_l: float
-    d_s: float
-    d_ls: float
-    mass: float
-    z_l: float = 0.0
-
-    def __post_init__(self):
-        for name in ("d_l", "d_s", "d_ls"):
-            v = float(getattr(self, name))
-            if not (math.isfinite(v) and v > 0):
-                raise DomainError(f"LensGeometry.{name} must be positive and finite")
-        if not math.isfinite(self.mass) or not math.isfinite(self.z_l):
-            raise ValidationError("LensGeometry mass and z_l must be finite")
-
-    @property
-    def sigma_c(self) -> float:
-        return self.d_s / (2.0 * math.pi * self.d_l * self.d_ls)
-
-
-@dataclass(frozen=True)
 class ImageSolution:
     """One lensed image: position, signed magnification, residual, parity."""
 
@@ -117,9 +91,6 @@ class ImageSet:
     def __getitem__(self, i):
         return self.images[i]
 
-    def positions(self) -> list[complex]:
-        return [im.position for im in self.images]
-
 
 @dataclass(frozen=True)
 class LightCurveSample:
@@ -129,27 +100,9 @@ class LightCurveSample:
     magnification: float | None
 
 
-def nondimensionalize(geometry: LensGeometry) -> tuple[float, float]:
-    """Return (sigma_c, m): critical surface density and dimensionless mass.
-
-    m = M / (pi d_l^2 sigma_c); the sign of m follows the sign of M.
-    """
-    sigma_c = geometry.sigma_c
-    m = geometry.mass / (math.pi * geometry.d_l ** 2 * sigma_c)
-    return sigma_c, m
-
-
-def _rotated_into_frame(z: complex, model: LensModel) -> complex:
-    """Map a lab-frame point into the theta = 0 working frame."""
-    if model.theta == 0.0:
-        return z
-    return cmath.exp(-1j * model.theta) * z
-
-
-def _rotated_out_of_frame(z: complex, model: LensModel) -> complex:
-    if model.theta == 0.0:
-        return z
-    return cmath.exp(1j * model.theta) * z
+def _rotated(z, angle: float):
+    """z turned by angle; -theta takes the lab frame to the theta = 0 working frame."""
+    return z if angle == 0.0 else cmath.exp(1j * angle) * z
 
 
 def surface_potential(x, model: LensModel) -> float:
@@ -191,12 +144,6 @@ def _eta(z, model: LensModel):
     return eta
 
 
-def deflection(x, model: LensModel) -> complex:
-    """Complex deflection angle alpha = grad psi = m/conj(z) + kappa z - gamma e^{2 i theta} conj(z)."""
-    z = _as_point(x, "image position")
-    return z - lens_map(z, model)
-
-
 def _shear_term(z: complex, model: LensModel) -> complex:
     """d eta / d conj(z) = gamma e^{2 i theta} + m / conj(z)^2."""
     b = model.gamma * cmath.exp(2j * model.theta)
@@ -218,10 +165,19 @@ def jacobian_det(x, model: LensModel) -> float:
 
 
 def magnification_isolated(x, m: float) -> float:
-    """Signed magnification |x|^4 / (|x|^4 - m^2) of an isolated point mass."""
+    """Signed magnification |x|^4 / (|x|^4 - m^2) of an isolated point mass.
+
+    Taken as 1 / (1 - q^2), q = m/|x|^2, which cannot overflow; math.inf
+    on the critical circle |x|^2 = |m|, as ``find_images`` reports J = 0.
+    """
     z = _as_point(x)
-    r4 = abs(z) ** 4
-    return r4 / (r4 - m * m)
+    if not math.isfinite(m):
+        raise ValidationError(f"point mass m must be finite, got {m!r}")
+    r2 = abs(z) * abs(z)
+    if r2 == 0.0:  # the limit x -> 0; no lens at all for m = 0
+        return 1.0 if m == 0.0 else -0.0
+    den = 1.0 - (m / r2) * (m / r2)
+    return math.inf if den == 0.0 else 1.0 / den
 
 
 def solve_images_isolated(y, m: float) -> ImageSet:
@@ -232,8 +188,8 @@ def solve_images_isolated(y, m: float) -> ImageSet:
     none; on it (within 1e-12), one degenerate image flagged critical.
     """
     yv = _as_point(y, "source position")
-    if m >= 0:
-        raise DomainError("isolated closed form applies to negative masses only")
+    if not -math.inf < m < 0.0:
+        raise DomainError(f"isolated closed form needs a finite negative mass, got {m!r}")
     ynorm = abs(yv)
     rad = ynorm * ynorm + 4.0 * m
     caustic = 2.0 * math.sqrt(-m)
@@ -348,7 +304,7 @@ def find_images(y, model: LensModel) -> ImageSet:
     flagged 'degenerate-linear-part'.
     """
     yv = _as_point(y, "source position")
-    y0 = _rotated_into_frame(yv, model)
+    y0 = _rotated(yv, -model.theta)
     base = LensModel(model.m, model.kappa, model.gamma, 0.0)
     flags: tuple[str, ...] = ()
 
@@ -371,7 +327,7 @@ def find_images(y, model: LensModel) -> ImageSet:
         images = _collect_images([complex(z) for z in np.roots(coeffs)], y0, base)
 
     if model.theta != 0.0:
-        images = [ImageSolution(_rotated_out_of_frame(im.position, model),
+        images = [ImageSolution(_rotated(im.position, model.theta),
                                 im.signed_magnification, im.residual,
                                 im.parity, im.critical) for im in images]
     return ImageSet(images=tuple(images), flags=flags)
@@ -385,12 +341,8 @@ def total_magnification_isolated(y_norm: float, m: float) -> float:
     y = float(y_norm)
     if not (math.isfinite(y) and math.isfinite(m)):
         raise ValidationError("total magnification needs finite y_norm and m")
-    if m >= 0:
-        if y <= 0:
-            raise DomainError("need y_norm > 0")
-        return (y * y + 2.0 * m) / (y * math.sqrt(y * y + 4.0 * m))
-    if y <= 2.0 * math.sqrt(-m):
-        raise DomainError("source on or inside the caustic: no total magnification")
+    if y <= (2.0 * math.sqrt(-m) if m < 0 else 0.0):
+        raise DomainError("no total magnification at y_norm <= 0 or on or inside the caustic")
     return (y * y + 2.0 * m) / (y * math.sqrt(y * y + 4.0 * m))
 
 
@@ -415,36 +367,12 @@ def light_curve(m: float, d: float, times) -> list[LightCurveSample]:
     return out
 
 
-@dataclass(frozen=True)
-class TimeDelay:
-    """Dimensionless Fermat potential and, when geometry is given, its physical scale.
-
-    Only differences between images are physically meaningful; the
-    arrival-time reference constant is left unfixed.
-    """
-
-    tau: float
-    physical: float | None = None
-
-
-def time_delay(x, y, model: LensModel, geometry: LensGeometry | None = None) -> TimeDelay:
-    """Fermat potential tau(x; y) = |x - y|^2 / 2 - psi(x).
-
-    Images of the source at y are exactly the stationary points of tau.
-    With geometry, the physical delay applies the (1 + z_l) d_l d_s / d_ls
-    prefactor.
-    """
-    xv = _as_point(x, "image position")
-    yv = _as_point(y, "source position")
-    tau = 0.5 * abs(xv - yv) ** 2 - surface_potential(xv, model)
-    if geometry is None:
-        return TimeDelay(tau)
-    pref = (1.0 + geometry.z_l) * geometry.d_l * geometry.d_s / geometry.d_ls
-    return TimeDelay(tau, pref * tau)
-
-
 def fermat_gradient(x, y, model: LensModel) -> tuple[float, float]:
-    """Central-difference gradient (step 1e-6) of the Fermat potential at x."""
+    """Central-difference gradient (step 1e-6) of the Fermat potential at x.
+
+    Only tests call it, as the oracle that images are stationary points of
+    the arrival time; it is built on ``surface_potential``, not the lens map.
+    """
     xv = _as_point(x)
     yv = _as_point(y)
     step = 1e-6

@@ -54,7 +54,11 @@ def parse_cell(text: str):
 
 
 def read_csv(path):
-    """Reparse an emitted table: (header, rows) with floats/None/strings."""
+    """Reparse an emitted table: (header, rows) with floats/None/strings.
+
+    Only tests read tables back; it lives beside the format it inverts
+    (the NA token, 17-digit floats) so that they need not learn it.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip() != ""]
     if not lines:

@@ -42,7 +42,7 @@ class ZVModel:
 
     ratio = m/a classifies the family; ratio 1 is the excluded m = a
     case for the near-rod asymptotics (cylinder areas stop shrinking
-    there), and ratio 2 carries the conventional Schwarzschild flag.
+    there).
     """
 
     m: float
@@ -55,20 +55,12 @@ class ZVModel:
             raise ValidationError("rod half-length a must be positive")
 
     @property
-    def delta(self) -> float:
-        return self.m / (2.0 * self.a)
-
-    @property
     def ratio(self) -> float:
         return self.m / self.a
 
     @property
     def is_excluded(self) -> bool:
         return self.ratio == 1.0
-
-    @property
-    def is_schwarzschild_flagged(self) -> bool:
-        return self.ratio == 2.0
 
 
 def _rod_fields(zv: ZVModel, rho, z):
@@ -290,47 +282,3 @@ def level_set_energy(zv: ZVModel, rho: float, L: float | None = None) -> float:
     inner = min(1e-3 * rho, 1e-3 * zv.a)
     return dyadic_gauss(lambda zs: level_set_mass_integrand(zv, rho, zs, L),
                         -zv.a, zv.a, inner)
-
-
-def level_set_capacity(zv: ZVModel, L: float) -> float:
-    """Capacity |flux(e^lam)| / (L - 1) of the level set e^lam = L (m < 0).
-
-    The flux is the metric flux (1/4 pi) closed-integral <nu, grad e^lam>_g
-    dA_g, taken through the sphere of radius 8a.  e^lam is harmonic in
-    the rod metric, so this flux is the same through every enclosing
-    surface, and the metric factors collapse: sqrt(g) g^{nn} times
-    d(e^lam)/dn reduces to rho dlam/dn in the flat (rho, z) half-plane,
-    i.e. exactly the flat flux of lam that ``adm_flux`` returns, which is m.
-    """
-    if not 1.0 < L < math.inf:
-        raise DomainError("level sets approaching the rod need finite L > 1 (m < 0)")
-    return abs(adm_flux(zv, 8.0 * zv.a)) / (L - 1.0)
-
-
-def reconstruct_mu(zv: ZVModel, rho: float, z: float) -> float:
-    """mu at (rho, z) by line-integrating (mu_rho, mu_z) from (40, 0).
-
-    Integrates along the two-leg path (40, 0) -> (rho, 0) -> (rho, z)
-    with 64-node Gauss panels, starting from the closed form at (40, 0);
-    agreement with the closed form at the target checks integrability
-    of the first-order system.
-    """
-    if not (math.isfinite(rho) and math.isfinite(z)):
-        raise DomainError("mu reconstruction needs a finite target point")
-    x, w = gauss_nodes(64)
-    rho_ref, z_ref = 40.0, 0.0
-    _, mu_ref = zv_potentials(zv, rho_ref, z_ref)
-
-    mid = 0.5 * (rho + rho_ref)
-    half = 0.5 * (rho - rho_ref)
-    pts = mid + half * x
-    mu_r = zv_fields(zv, pts, z_ref)[4]
-    leg1 = half * float(np.sum(w * mu_r))
-
-    mid = 0.5 * (z + z_ref)
-    half = 0.5 * (z - z_ref)
-    pts = mid + half * x
-    mu_z = zv_fields(zv, rho, pts)[5]
-    leg2 = half * float(np.sum(w * mu_z))
-
-    return mu_ref + leg1 + leg2

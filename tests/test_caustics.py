@@ -6,8 +6,7 @@ import pytest
 
 from negmass.caustics import (ReducedLens, caustic_curve, critical_curve,
                               critical_points_kappa1, cusp_angles, grad_Z_eta,
-                              im_w3, image_count_survey, re_w3, reduce, scan_cusps,
-                              unreduce)
+                              im_w3, image_count_survey, re_w3, reduce, scan_cusps)
 from negmass.errors import (BoundaryRegimeError, DegenerateKappaError, DomainError,
                             ValidationError)
 from negmass.lens import LensModel, jacobian_det, lens_map
@@ -38,16 +37,6 @@ def test_reduce_below_one():
 def test_reduce_rejects_kappa_one():
     with pytest.raises(DegenerateKappaError):
         reduce(LensModel(-1.0, 1.0, 0.2))
-
-
-def test_unreduce_round_trip():
-    model = LensModel(-1.3, 0.4, 0.25)
-    red = reduce(model)
-    back = unreduce(red, 0.4)
-    assert back.m == pytest.approx(model.m)
-    assert back.gamma == pytest.approx(model.gamma)
-    with pytest.raises(DomainError):
-        unreduce(red, 1.7)  # wrong side of kappa = 1
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +356,7 @@ def test_uncorrected_variant_fails_numerical_condition():
 
 
 def test_cusps_pass_numerical_condition_in_full_models():
-    # unreduced models on both sides of kappa = 1
+    # full (kappa-carrying) models on both sides of kappa = 1
     for kappa, gamma in ((0.5, 0.45), (1.5, 0.2)):
         model = LensModel(-1.0, kappa, gamma)
         red = reduce(model)
@@ -384,7 +373,7 @@ def test_scan_matches_closed_form():
     for gstar, eps in ((0.5, -1), (0.9, 1), (0.9, -1), (1.5, 1), (1.5, -1)):
         red = ReducedLens(-1.0, gstar, eps)
         closed = sorted(phi for phi, _ in cusp_angles(red).angles)
-        scanned = scan_cusps(red, resolution=10 ** 4)
+        scanned = scan_cusps(red)
         assert len(scanned) == len(closed)
         for a, b in zip(scanned, closed):
             assert a == pytest.approx(b, abs=1e-6)

@@ -7,10 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from negmass.errors import DomainError, SingularPointError, ValidationError
-from negmass.lens import (LensGeometry, LensModel,
-                          fermat_gradient, find_images, jacobian_det, lens_map,
-                          light_curve, magnification_isolated, nondimensionalize,
-                          solve_images_isolated, surface_potential, time_delay,
+from negmass.lens import (LensModel, fermat_gradient, find_images, jacobian_det,
+                          lens_map, light_curve, magnification_isolated,
+                          solve_images_isolated, surface_potential,
                           total_magnification_isolated)
 
 
@@ -19,37 +18,6 @@ def closed_form_images(y: complex, m: float):
     yhat = y / ynorm
     root = math.sqrt(ynorm ** 2 + 4 * m)
     return [0.5 * (ynorm + root) * yhat, 0.5 * (ynorm - root) * yhat]
-
-
-# ---------------------------------------------------------------------------
-# nondimensionalization
-
-def test_nondimensionalize_unit_case():
-    geo = LensGeometry(d_l=1.0, d_s=2.0, d_ls=1.0, mass=1.0)
-    sigma_c, m = nondimensionalize(geo)
-    assert sigma_c == pytest.approx(1.0 / math.pi, rel=1e-15)
-    assert m == pytest.approx(1.0, rel=1e-15)
-
-
-def test_nondimensionalize_zero_mass():
-    geo = LensGeometry(d_l=3.0, d_s=7.0, d_ls=4.0, mass=0.0)
-    assert nondimensionalize(geo)[1] == 0.0
-
-
-def test_nondimensionalize_scaling_consistency():
-    # doubling d_L at fixed M with d_S = d_L + d_LS, recomputed independently
-    for d_l in (1.0, 2.0):
-        geo = LensGeometry(d_l=d_l, d_s=d_l + 1.5, d_ls=1.5, mass=0.7)
-        sigma_c, m = nondimensionalize(geo)
-        sigma_direct = geo.d_s / (2 * math.pi * geo.d_l * geo.d_ls)
-        m_direct = geo.mass / (math.pi * geo.d_l ** 2 * sigma_direct)
-        assert sigma_c == pytest.approx(sigma_direct, rel=1e-15)
-        assert m == pytest.approx(m_direct, rel=1e-15)
-
-
-def test_geometry_rejects_nonpositive_distances():
-    with pytest.raises(DomainError):
-        LensGeometry(d_l=0.0, d_s=1.0, d_ls=1.0, mass=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +304,7 @@ def test_jacobian_matches_numerical_determinant():
 
 
 def test_deflection_is_potential_gradient():
-    from negmass.lens import deflection
+    # the deflection alpha = z - eta(z) is grad psi
     rng = np.random.default_rng(31)
     h = 1e-6
     for _ in range(40):
@@ -346,7 +314,7 @@ def test_deflection_is_potential_gradient():
         gx = (surface_potential(z + h, model) - surface_potential(z - h, model)) / (2 * h)
         gy = (surface_potential(z + 1j * h, model)
               - surface_potential(z - 1j * h, model)) / (2 * h)
-        alpha = deflection(z, model)
+        alpha = z - lens_map(z, model)
         assert alpha.real == pytest.approx(gx, abs=1e-7)
         assert alpha.imag == pytest.approx(gy, abs=1e-7)
 
@@ -389,8 +357,8 @@ def test_find_images_in_rotated_frame():
     tilted = LensModel(-1.0, 0.3, 0.25, theta)
     y0 = 2.5 - 0.8j
     rot = cmath.exp(1j * theta)
-    base_imgs = sorted(find_images(y0, base).positions(), key=abs)
-    tilt_imgs = sorted(find_images(rot * y0, tilted).positions(), key=abs)
+    base_imgs = sorted((im.position for im in find_images(y0, base)), key=abs)
+    tilt_imgs = sorted((im.position for im in find_images(rot * y0, tilted)), key=abs)
     assert len(base_imgs) == len(tilt_imgs) > 0
     for zb, zt in zip(base_imgs, tilt_imgs):
         assert zt == pytest.approx(rot * zb, abs=1e-10)
@@ -419,6 +387,14 @@ def test_total_magnification_domain_error():
         total_magnification_isolated(1.9, -1.0)
 
 
+def test_magnification_isolated_infinite_on_critical_circle():
+    # |x|^2 = |m|: J = 0, reported as find_images reports it
+    assert magnification_isolated(1.0, -1.0) == math.inf
+    assert magnification_isolated(1j, 1.0) == math.inf
+    assert magnification_isolated(2.0, 4.0) == math.inf
+    assert magnification_isolated(2.0, -1.0) == pytest.approx(16.0 / 15.0, rel=1e-15)
+
+
 def test_total_magnification_brute_force_identity():
     rng = np.random.default_rng(3)
     for _ in range(200):
@@ -431,12 +407,14 @@ def test_total_magnification_brute_force_identity():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("call", [
+    lambda v: magnification_isolated(2.0, v),
+    lambda v: solve_images_isolated(3.0, v),
     lambda v: total_magnification_isolated(v, -1.0),
     lambda v: total_magnification_isolated(3.0, v),
     lambda v: light_curve(v, 3.0, [0.0]),
     lambda v: light_curve(-1.0, v, [0.0]),
     lambda v: light_curve(-1.0, 3.0, [0.0, v]),
-], ids=["total_y", "total_m", "curve_m", "curve_d", "curve_time"])
+], ids=["single_m", "closed_m", "total_y", "total_m", "curve_m", "curve_d", "curve_time"])
 def test_scalar_entry_points_reject_non_finite(call, bad):
     with pytest.raises(ValidationError):
         call(bad)
@@ -477,27 +455,7 @@ def test_light_curve_positive_negative_degeneracy():
 
 
 # ---------------------------------------------------------------------------
-# time delay
-
-def test_time_delay_trivial():
-    assert time_delay(1 + 1j, 1 + 1j, LensModel(0.0)).tau == 0.0
-
-
-def test_time_delay_isolated_value():
-    x = (3.0 + math.sqrt(5.0)) / 2.0
-    tau = time_delay(x + 0j, 3.0 + 0j, LensModel(-1.0)).tau
-    expected = 0.5 * (3.0 - x) ** 2 - (-1.0) * math.log(x)
-    assert tau == pytest.approx(expected, rel=1e-14)
-    # recomputed by direct substitution (the value 1.03528 sometimes quoted
-    # for this configuration drops a digit; substitution gives 1.035373)
-    assert tau == pytest.approx(1.0353727, abs=1e-6)
-
-
-def test_time_delay_physical_prefactor():
-    geo = LensGeometry(d_l=1.0, d_s=2.0, d_ls=1.0, mass=1.0, z_l=0.5)
-    td = time_delay(2 + 0j, 3 + 0j, LensModel(-1.0), geo)
-    assert td.physical == pytest.approx(td.tau * 1.5 * 2.0 / 1.0)
-
+# Fermat potential
 
 def test_fermat_stationarity_at_images():
     rng = np.random.default_rng(13)

@@ -6,9 +6,8 @@ import pytest
 from negmass.errors import DomainError, SingularPointError, ValidationError
 from negmass.weyl import (RHO_FLOOR, SQRT33_ENDPOINT, ZVModel, adm_flux,
                           cylinder_area, cylinder_area_exponent, energy_exponent,
-                          level_set_capacity, level_set_energy,
-                          level_set_mass_integrand, observed_cylinder_exponent,
-                          reconstruct_mu, vacuum_residuals, zv_fields,
+                          level_set_energy, level_set_mass_integrand,
+                          observed_cylinder_exponent, vacuum_residuals, zv_fields,
                           zv_potentials)
 
 
@@ -21,9 +20,7 @@ def log_slope(f, x_hi, x_lo):
 
 def test_zv_model_parameters():
     zv = ZVModel(1.0, 0.5)
-    assert zv.delta == pytest.approx(1.0)
     assert zv.ratio == pytest.approx(2.0)
-    assert zv.is_schwarzschild_flagged
     assert ZVModel(1.0, 1.0).is_excluded
     with pytest.raises(ValidationError):
         ZVModel(1.0, 0.0)
@@ -122,13 +119,6 @@ def test_vacuum_residual_grid_margin():
     with pytest.raises(DomainError):
         vacuum_residuals(ZVModel(1.0, 1.0), np.array([1e-4, 1.0]),
                          np.array([0.0, 1.0]))
-
-
-def test_mu_integrability_line_reconstruction():
-    zv = ZVModel(1.3, 1.0)
-    for rho, z in ((0.7, 0.4), (0.3, -1.1), (2.5, 2.0)):
-        _, mu = zv_potentials(zv, rho, z)
-        assert reconstruct_mu(zv, rho, z) == pytest.approx(mu, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +317,7 @@ def test_level_set_energy_slope_positive_mass():
 
 
 # ---------------------------------------------------------------------------
-# harmonic e^lambda and level-set capacities
+# harmonic e^lambda
 
 def test_exp_lambda_flux_equals_rod_mass():
     # the metric flux of the harmonic e^lam collapses to the flat flux
@@ -335,15 +325,6 @@ def test_exp_lambda_flux_equals_rod_mass():
     zv = ZVModel(-1.0, 1.0)
     for radius in (2.0, 50.0):
         assert adm_flux(zv, radius) == pytest.approx(zv.m, abs=1e-9)
-
-
-def test_level_set_capacities_shrink():
-    zv = ZVModel(-1.0, 1.0)
-    caps = [level_set_capacity(zv, L) for L in (2.0, 4.0, 8.0, 16.0)]
-    assert caps == sorted(caps, reverse=True)
-    assert caps[-1] < caps[0] / 10.0
-    with pytest.raises(DomainError):
-        level_set_capacity(zv, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -359,17 +340,13 @@ _GRID = np.linspace(0.2, 2.0, 4)
     lambda v: adm_flux(_ZV, v),
     lambda v: level_set_energy(_ZV, v),
     lambda v: level_set_energy(_ZV, 1e-3, v),
-    lambda v: level_set_capacity(_ZV, v),
     lambda v: level_set_mass_integrand(_ZV, 1e-3, 0.0, v),
-    lambda v: reconstruct_mu(_ZV, v, 0.0),
-    lambda v: reconstruct_mu(_ZV, 0.5, v),
     lambda v: vacuum_residuals(_ZV, np.append(_GRID, v), _GRID),
     lambda v: vacuum_residuals(_ZV, _GRID, np.append(_GRID, v)),
     lambda v: zv_potentials(_ZV, v, 0.0),
     lambda v: zv_fields(_ZV, 0.5, v),
-], ids=["cylinder_area", "adm_flux", "energy_rho", "energy_L", "capacity",
-        "integrand_L", "reconstruct_rho", "reconstruct_z", "residuals_rho",
-        "residuals_z", "potentials", "fields"])
+], ids=["cylinder_area", "adm_flux", "energy_rho", "energy_L", "integrand_L",
+        "residuals_rho", "residuals_z", "potentials", "fields"])
 def test_non_finite_arguments_rejected(call, bad):
     with pytest.raises(DomainError):
         call(bad)
