@@ -23,14 +23,13 @@ from .svgplot import Series, emit_svg
 from .tableio import write_csv
 
 REQUIRED = object()  # default marker: flag must be supplied (CLI or config)
-OPTIONAL = object()  # default marker: flag may stay unset
 
 _COMMON_PROFILE = {
     "profile": (str, REQUIRED),
     "mass": (float, -1.0),
-    "k": (float, OPTIONAL),
-    "p": (float, OPTIONAL),
-    "file": (str, OPTIONAL),
+    "k": (float, None),
+    "p": (float, None),
+    "file": (str, None),
 }
 
 _CURVE = {
@@ -100,32 +99,25 @@ def _load_config(path: str) -> dict[str, str]:
     return out
 
 
-def _merge_config(args, command: str):
-    if args.config is None:
-        return
-    spec = _SPECS[command]
-    allowed = {**spec, "out": (str, None), "svg": (str, None)}
-    for key, raw in _load_config(args.config).items():
-        if key not in allowed:
+def _resolve_options(args, command: str):
+    """Fill the options no flag set: from --config first, then from the defaults."""
+    spec = {**_SPECS[command], "out": (str, f"{command}.csv"), "svg": (str, None)}
+    config = {} if args.config is None else _load_config(args.config)
+    for key, raw in config.items():
+        if key not in spec:
             raise ValidationError(f"unknown config key {key!r} for {command}")
         dest = key.replace("-", "_")
         if getattr(args, dest) is None:  # flags win over config
-            typ = allowed[key][0]
             try:
-                setattr(args, dest, typ(raw))
+                setattr(args, dest, spec[key][0](raw))
             except ValueError as exc:
                 raise ValidationError(f"config key {key!r}: {exc}") from exc
-
-
-def _apply_defaults(args, command: str):
-    for opt, (_typ, default) in _SPECS[command].items():
+    for opt, (_typ, default) in spec.items():
         dest = opt.replace("-", "_")
         if getattr(args, dest) is None:
             if default is REQUIRED:
                 raise ValidationError(f"missing required flag --{opt}")
-            setattr(args, dest, None if default is OPTIONAL else default)
-    if args.out is None:
-        args.out = f"{command}.csv"
+            setattr(args, dest, default)
 
 
 def _parse_pair(text: str, what: str) -> complex:
@@ -231,19 +223,13 @@ def _cmd_lens_survey(args):
         raise ValidationError("--y for lens-survey is 'lo,hi' with hi > lo")
     axis = np.linspace(lo, hi, args.n)
     result = caustics.image_count_survey(model, axis, axis, samples=args.samples)
-    rows = []
-    for i, b in enumerate(result.y2):
-        for j, a in enumerate(result.y1):
-            rows.append([a, b, int(result.counts[i, j]),
-                         1 if result.near_caustic[i, j] else 0])
-    write_csv(args.out, ["y1", "y2", "count", "near_caustic"], rows)
+    y1, y2 = np.meshgrid(result.y1, result.y2)
+    cols = (y1, y2, result.counts, result.near_caustic.astype(int))
+    write_csv(args.out, ["y1", "y2", "count", "near_caustic"],
+              list(zip(*(c.ravel().tolist() for c in cols))))
     if args.svg:
-        series = []
-        for count in sorted({int(c) for c in result.counts.ravel()}):
-            mask = result.counts == count
-            ys, xs = np.nonzero(mask)
-            series.append(Series(list(result.y1[xs]), list(result.y2[ys]),
-                                 label=f"count {count}"))
+        series = [Series(y1[result.counts == c].tolist(), y2[result.counts == c].tolist(),
+                         label=f"count {c}") for c in np.unique(result.counts)]
         emit_svg(series, args.svg, title="image multiplicity",
                  equal_aspect=True, x_label="y1", y_label="y2")
 
@@ -342,17 +328,12 @@ def _join_negative_values(argv):
     would otherwise be mistaken for option strings.
     """
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if (tok.startswith("--") and "=" not in tok and i + 1 < len(argv)
-                and argv[i + 1].startswith("-") and len(argv[i + 1]) > 1
-                and not argv[i + 1].startswith("--")):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
-            continue
-        out.append(tok)
-        i += 1
+    for tok in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and tok.startswith("-") and len(tok) > 1 and not tok.startswith("--")):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
     return out
 
 
@@ -364,8 +345,7 @@ def run(argv) -> int:
     except SystemExit as exc:
         return int(exc.code if exc.code is not None else 2)
     try:
-        _merge_config(args, args.command)
-        _apply_defaults(args, args.command)
+        _resolve_options(args, args.command)
         _DISPATCH[args.command](args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

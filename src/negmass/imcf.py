@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError, ValidationError
-from .spherical import (RadialProfile, _newton, hawking_mass_sphere, radial_capacity,
-                        scalar_curvature)
+from .numerics import _newton
+from .spherical import RadialProfile, hawking_mass_sphere, radial_capacity, scalar_curvature
 
 GEROCH_TOL = 1e-8  # absolute slack absorbing rounding noise in the Hawking masses
 SCAN_POINTS = 64  # radii per doubling of r when scanning for where the flow stops

@@ -1,11 +1,13 @@
-"""Shared numerical kernels: quadrature and limit extraction.
+"""Shared numerical kernels: quadrature, bracketed Newton, limit extraction.
 
 Everything here is deterministic and dependency-light; the rest of the
-package builds its integrals and extrapolated limits on these routines.
+package builds its integrals, inversions and extrapolated limits on
+these routines.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -13,14 +15,44 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import NonConvergenceError, NumericalError
 
-_GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+def _floats(*vals):
+    """vals as Python floats when the first is 0-d, else unchanged.
+
+    Array kernels return values shaped like their argument, so this turns
+    a float argument's results back into floats.
+    """
+    return tuple(map(float, vals)) if np.ndim(vals[0]) == 0 else vals
 
 
+def _newton(fun, x, lo, hi):
+    """Elementwise root of an increasing fun on arrays, bracketed by 0 < lo <= x <= hi.
+
+    fun(x) returns (value, slope).  A Newton step that leaves the bracket
+    is replaced by bisection.  Stops once every step s is below 1e-9 of x
+    and either below 1e-4 of the step before it or at rounding level
+    (1e-15 x).  Quadratic convergence leaves an error of about
+    s^3 / s_prev^2 <= 1e-8 s; a bare 1e-9 x test would leave s^2 / w on a
+    feature of width w, short of rounding level when w is narrow.
+    """
+    prev = 0.0
+    for _ in range(60):
+        val, slope = fun(x)
+        lo = np.where(val < 0.0, x, lo)
+        hi = np.where(val > 0.0, x, hi)
+        new = x - val / slope
+        new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
+        step = np.abs(new - x)
+        if ((step <= 1e-9 * new) & ((step <= 1e-4 * prev) | (step <= 1e-15 * new))).all():
+            return new
+        x, prev = new, step
+    raise NonConvergenceError("safeguarded Newton iteration did not converge")
+
+
+@functools.cache
 def gauss_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights on [-1, 1], cached by order."""
-    if n not in _GAUSS_CACHE:
-        _GAUSS_CACHE[n] = leggauss(n)
-    return _GAUSS_CACHE[n]
+    return leggauss(n)
 
 
 def gauss_panel(f, lo: float, hi: float, n: int = 32) -> float:

@@ -40,39 +40,11 @@ import numpy as np
 from numpy.polynomial.legendre import legint, legvander
 
 from .errors import DomainError, NonConvergenceError, NumericalError, ValidationError
-from .numerics import gauss_nodes, limit_smallstep, richardson_decay, tail_integral
+from .numerics import (_floats, _newton, gauss_nodes, limit_smallstep, richardson_decay,
+                       tail_integral)
 
 FOUR_PI = 4.0 * math.pi
 MINUS_INFINITY = -math.inf
-
-
-def _like(r: np.ndarray, *vals):
-    """vals as Python floats when r is 0-d, else unchanged."""
-    return tuple(float(v) for v in vals) if r.ndim == 0 else vals
-
-
-def _newton(fun, x, lo, hi):
-    """Elementwise root of an increasing fun on arrays, bracketed by 0 < lo <= x <= hi.
-
-    fun(x) returns (value, slope).  A Newton step that leaves the bracket
-    is replaced by bisection.  Stops once every step s is below 1e-9 of x
-    and either below 1e-4 of the step before it or at rounding level
-    (1e-15 x).  Quadratic convergence leaves an error of about
-    s^3 / s_prev^2 <= 1e-8 s; a bare 1e-9 x test would leave s^2 / w on a
-    feature of width w, short of rounding level when w is narrow.
-    """
-    prev = 0.0
-    for _ in range(60):
-        val, slope = fun(x)
-        lo = np.where(val < 0.0, x, lo)
-        hi = np.where(val > 0.0, x, hi)
-        new = x - val / slope
-        new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
-        step = np.abs(new - x)
-        if ((step <= 1e-9 * new) & ((step <= 1e-4 * prev) | (step <= 1e-15 * new))).all():
-            return new
-        x, prev = new, step
-    raise NonConvergenceError("safeguarded Newton iteration did not converge")
 
 
 class RadialProfile:
@@ -119,7 +91,7 @@ class FlatProfile(RadialProfile):
 
     def eval(self, r):
         r = self._check(r)
-        return _like(r, FOUR_PI * r * r, 2.0 * FOUR_PI * r, np.full_like(r, 2.0 * FOUR_PI))
+        return _floats(FOUR_PI * r * r, 2.0 * FOUR_PI * r, np.full_like(r, 2.0 * FOUR_PI))
 
 
 # s/R0 = sum_j 4 (2j/(2j+1)) w^(2j+1) for m < 0: the first 12 terms, in w^2
@@ -206,7 +178,7 @@ class ConformalSchwarzschildProfile(RadialProfile):
         x = _chart_offset(self.m, r / R0)
         R = R0 * (1.0 + x)
         phi = (x if self.m < 0 else x + 2.0) / (1.0 + x)
-        return _like(r, FOUR_PI * R * R * phi ** 4,
+        return _floats(FOUR_PI * R * R * phi ** 4,
                      2.0 * FOUR_PI * R0 * x * (x + 2.0) / (1.0 + x),
                      2.0 * FOUR_PI * (1.0 + (R0 / R) ** 2) / (phi * phi))
 
@@ -252,7 +224,7 @@ class PowerLawProfile(RadialProfile):
         d0, d1, d2 = flat - head
         blend = head + np.array([w * d0, dw * d0 + w * d1, d2w * d0 + 2.0 * dw * d1 + w * d2])
         A, dA, d2A = np.where(r <= g, head, np.where(r >= 2.0 * g, flat, blend))
-        return _like(r, A, dA, d2A)
+        return _floats(A, dA, d2A)
 
     def head_capacity_integral(self, r: float) -> float:
         """Exact int_0^r ds/(k s^p) on the power-law head (needs p < 1)."""
@@ -273,7 +245,7 @@ class CustomProfile(RadialProfile):
 
     def eval(self, r):
         r = self._check(r)
-        return _like(r, *(np.broadcast_to(v, r.shape).astype(float) for v in self._fn(r)))
+        return _floats(*(np.broadcast_to(v, r.shape).astype(float) for v in self._fn(r)))
 
 
 def bump_profile() -> CustomProfile:
@@ -374,7 +346,7 @@ class TabulatedProfile(RadialProfile):
 
     def eval(self, r):
         r = self._check(r)
-        return _like(r, *self._cubic(r))
+        return _floats(*self._cubic(r))
 
 
 def parse_profile_file(path) -> TabulatedProfile:
@@ -547,7 +519,7 @@ def classify_power_law(k: float, p: float) -> MassReport:
     if not (k > 0.0 and p > 0.0):
         raise DomainError("need k > 0 and p > 0")
     profile = PowerLawProfile(k, p)
-    cap = capacity_center(profile) if p < 1.0 else 0.0
+    cap = capacity_center(profile)
     if abs(p - 4.0 / 3.0) < 1e-12:
         return MassReport("finite-mass", -(k ** 1.5) / (36.0 * math.pi ** 1.5), cap)
     if p < 4.0 / 3.0:
@@ -741,7 +713,7 @@ class ConformalProfile(RadialProfile):
         if np.any(r < self._arc.origin + self._arc.d_edges[0]):
             raise DomainError("radius below the conformal domain")
         self._arc.cover(np.max(r))
-        return _like(r, self._arc.integral(r) - self._s0)[0]
+        return _floats(self._arc.integral(r) - self._s0)[0]
 
     def old_radius(self, s_new):
         """Base radius r with new arclength s_new, for a float or an array."""
@@ -751,7 +723,7 @@ class ConformalProfile(RadialProfile):
             table.cover(table.top + 2.0 * (np.max(y) - table.F[-1]))
         if np.any(y < table.F[0]):
             raise DomainError("arclength below the tabulated conformal domain")
-        return _like(y, table.invert(y))[0]
+        return _floats(table.invert(y))[0]
 
     def eval(self, s):
         s = self._check(s)
@@ -759,7 +731,7 @@ class ConformalProfile(RadialProfile):
         ph = self._phi(r)
         A, dA, d2A = self.base.eval(r)
         C = self.C
-        return _like(s, ph ** 4 * A, ph * ph * dA - 4.0 * FOUR_PI * C * ph,
+        return _floats(ph ** 4 * A, ph * ph * dA - 4.0 * FOUR_PI * C * ph,
                      d2A - 2.0 * FOUR_PI * C * dA / (A * ph)
                      + 4.0 * FOUR_PI * FOUR_PI * C * C / (A * ph * ph))
 

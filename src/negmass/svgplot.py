@@ -7,6 +7,7 @@ split the polyline.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -49,6 +50,21 @@ def _ticks(lo: float, hi: float):
     return out
 
 
+def _span(values):
+    """(lo, hi) of the values widened by a 4% margin; one value alone gets
+    5% of its magnitude (at least 0.05) on each side first."""
+    lo, hi = min(values), max(values)
+    if hi == lo:
+        pad = max(abs(hi), 1.0) * 0.05
+        lo, hi = lo - pad, hi + pad
+    margin = 0.04 * (hi - lo)
+    return lo - margin, hi + margin
+
+
+def _finite(point) -> bool:
+    return all(v is not None and math.isfinite(float(v)) for v in point)
+
+
 def emit_svg(series, path, *, title: str | None = None, equal_aspect: bool = False,
              x_label: str = "", y_label: str = "") -> None:
     """Write a standalone 640 x 480 SVG with the given line series.
@@ -65,20 +81,7 @@ def emit_svg(series, path, *, title: str | None = None, equal_aspect: bool = Fal
     if not xs or not ys:
         raise ValidationError("emit_svg needs at least one finite point")
 
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    for lo, hi, setter in ((x_lo, x_hi, "x"), (y_lo, y_hi, "y")):
-        if hi == lo:
-            pad = max(abs(hi), 1.0) * 0.05
-            if setter == "x":
-                x_lo, x_hi = lo - pad, hi + pad
-            else:
-                y_lo, y_hi = lo - pad, hi + pad
-    # 4% margin around the data
-    mx = 0.04 * (x_hi - x_lo)
-    my = 0.04 * (y_hi - y_lo)
-    x_lo, x_hi = x_lo - mx, x_hi + mx
-    y_lo, y_hi = y_lo - my, y_hi + my
+    (x_lo, x_hi), (y_lo, y_hi) = _span(xs), _span(ys)
 
     width, height = 640, 480
     box = (60.0, 20.0, width - 20.0, height - 45.0)  # left, top, right, bottom
@@ -130,20 +133,10 @@ def emit_svg(series, path, *, title: str | None = None, equal_aspect: bool = Fal
 
     for i, s in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
-        segment: list[str] = []
-        chunks: list[list[str]] = []
-        for xv, yv in zip(s.x, s.y):
-            ok = (xv is not None and yv is not None
-                  and math.isfinite(float(xv)) and math.isfinite(float(yv)))
-            if not ok:
-                if segment:
-                    chunks.append(segment)
-                segment = []
+        for finite, run in itertools.groupby(zip(s.x, s.y), key=_finite):
+            if not finite:  # a gap splits the polyline
                 continue
-            segment.append(f"{px(float(xv)):.2f},{py(float(yv)):.2f}")
-        if segment:
-            chunks.append(segment)
-        for chunk in chunks:
+            chunk = [f"{px(float(xv)):.2f},{py(float(yv)):.2f}" for xv, yv in run]
             if len(chunk) == 1:
                 x0, y0 = chunk[0].split(",")
                 parts.append(f'<circle cx="{x0}" cy="{y0}" r="2" fill="{color}"/>')

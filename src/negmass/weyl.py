@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SingularPointError, ValidationError
-from .numerics import dyadic_gauss, gauss_nodes
+from .numerics import _floats, dyadic_gauss, gauss_nodes
 
 SQRT33_ENDPOINT = (math.sqrt(33.0) - 3.0) / 4.0  # positive root of (2/3)x^2 + x - 1
 # smallest rho/a the rod quadratures accept: below it the dyadic panels
@@ -93,10 +93,6 @@ def _rod_fields(zv: ZVModel, rho, z):
     lam = (zv.m / (2.0 * a)) * np.log(excess / (S + 2.0 * a))
     mu = -(zv.m ** 2 / (2.0 * a ** 2)) * np.log(4.0 * Rp * Rm / S2m)
     return rho, z, Rp, Rm, S, S2m, lam, mu
-
-
-def _floats(*vals):
-    return tuple(map(float, vals)) if np.ndim(vals[0]) == 0 else vals
 
 
 def zv_potentials(zv: ZVModel, rho, z):
