@@ -25,13 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, ValidationError
+from .errors import DomainError, NumericalError
 from .numerics import _newton
 from .spherical import RadialProfile, hawking_mass_sphere, radial_capacity, scalar_curvature
 
 GEROCH_TOL = 1e-8  # absolute slack absorbing rounding noise in the Hawking masses
 SCAN_POINTS = 64  # radii per doubling of r when scanning for where the flow stops
 RESOLVE_TOL = 1e-6  # relative miss of A's rise by the integral of A' that forces resampling
+STATES = 101  # evenly spaced times sampled by each trace
 _EPS = float(np.finfo(float).eps)
 
 
@@ -66,8 +67,8 @@ class FlowTrace:
         return self.states[-1]
 
 
-def imcf_flow(profile: RadialProfile, r0: float, t_end: float, n: int = 101) -> FlowTrace:
-    """Sample the flow from the sphere at r0 at n evenly spaced times in [0, t_end].
+def imcf_flow(profile: RadialProfile, r0: float, t_end: float) -> FlowTrace:
+    """Sample the flow from the sphere at r0 at STATES evenly spaced times in [0, t_end].
 
     Each radius solves A(r) = A(r0) e^t by safeguarded Newton.  If A'
     falls to zero at r_h before A reaches A(r0) e^{t_end}, the times
@@ -77,8 +78,6 @@ def imcf_flow(profile: RadialProfile, r0: float, t_end: float, n: int = 101) -> 
     domain first raises DomainError, and a profile whose A' the scan
     cannot reconcile with A raises NumericalError.
     """
-    if n < 2:
-        raise ValidationError("the flow needs n >= 2 states")
     r0 = float(r0)
     if not (profile.r_min < r0 < profile.r_max):
         raise DomainError("r0 outside the profile domain")
@@ -94,10 +93,10 @@ def imcf_flow(profile: RadialProfile, r0: float, t_end: float, n: int = 101) -> 
         raise DomainError(f"A(r0) e^t_end overflows at t_end = {t_end}") from None
 
     rs, areas, halted = _scan(profile, r0, start, target)
-    t = np.linspace(0.0, math.log(areas[-1] / A0) if halted else t_end, n)
-    r = np.empty(n)
+    t = np.linspace(0.0, math.log(areas[-1] / A0) if halted else t_end, STATES)
+    r = np.empty(STATES)
     r[0] = r0
-    solve = slice(1, n - 1 if halted else n)  # a halted trace ends on r_h itself
+    solve = slice(1, -1 if halted else STATES)  # a halted trace ends on r_h itself
     targets = A0 * np.exp(t[solve])
     if targets.size:
         # A rises along the scanned radii, so they bracket each target
