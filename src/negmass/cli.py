@@ -32,29 +32,19 @@ _COMMON_PROFILE = {
     "file": (str, None),
 }
 
-_CURVE = {
-    "m": (float, REQUIRED), "kappa": (float, 0.0), "gamma": (float, 0.0),
-    "samples": (int, 720),
-}
+_LENS = {"m": (float, REQUIRED), "kappa": (float, 0.0), "gamma": (float, 0.0)}
+_CURVE = {**_LENS, "samples": (int, 720)}
 
 _SPECS: dict[str, dict[str, tuple]] = {
-    "lens-images": {
-        "m": (float, REQUIRED), "kappa": (float, 0.0), "gamma": (float, 0.0),
-        "theta": (float, 0.0), "y": (str, REQUIRED),
-    },
+    "lens-images": {**_LENS, "theta": (float, 0.0), "y": (str, REQUIRED)},
     "lens-lightcurve": {
         "m": (float, REQUIRED), "d": (float, REQUIRED), "t0": (float, -5.0),
         "t1": (float, 5.0), "n": (int, 101),
     },
     "lens-critical": _CURVE,
     "lens-caustics": _CURVE,
-    "lens-cusps": {
-        "m": (float, REQUIRED), "kappa": (float, 0.0), "gamma": (float, 0.0),
-    },
-    "lens-survey": {
-        "m": (float, REQUIRED), "kappa": (float, 0.0), "gamma": (float, 0.0),
-        "y": (str, "-4,4"), "n": (int, 41), "samples": (int, 8192),
-    },
+    "lens-cusps": _LENS,
+    "lens-survey": {**_LENS, "y": (str, "-4,4"), "n": (int, 41), "samples": (int, 8192)},
     "spherical-report": {**_COMMON_PROFILE, "r0": (float, 1.0)},
     "imcf-flow": {**_COMMON_PROFILE, "r0": (float, REQUIRED),
                   "t-end": (float, REQUIRED)},
@@ -242,12 +232,9 @@ def _cmd_spherical_report(args):
         rows.append(["adm", sph.adm_mass(profile)])
     except (NonConvergenceError, DomainError):
         rows.append(["adm", None])
-    if profile.r_min == 0.0:
-        rows.append(["regular_mass", sph.regular_mass(profile)])
-        rows.append(["capacity_center", sph.capacity_center(profile)])
-    else:
-        rows.append(["regular_mass", None])
-        rows.append(["capacity_center", None])
+    center = profile.r_min == 0.0  # a singular end at r = 0 to take limits at
+    rows.append(["regular_mass", sph.regular_mass(profile) if center else None])
+    rows.append(["capacity_center", sph.capacity_center(profile) if center else None])
     try:
         rows.append(["capacity_r0", sph.radial_capacity(profile, r0)])
     except DomainError:  # bounded domain: no tail integral
@@ -289,12 +276,10 @@ def _cmd_weyl_zv(args):
     except DomainError:
         exp_energy, classification = None, "NA"
     rhos = [args.rho * 10.0 ** (0.5 * k) for k in range(5)]
-    rows = []
-    for rho in rhos:
-        rows.append([rho, weyl.cylinder_area(zv, rho),
-                     weyl.level_set_energy(zv, rho) if zv.m != 0.0 else None,
-                     flux, res.harmonic, res.mu_rho_eq, res.mu_z_eq,
-                     exp_area, exp_obs, exp_energy, classification])
+    rows = [[rho, weyl.cylinder_area(zv, rho),
+             weyl.level_set_energy(zv, rho) if zv.m != 0.0 else None,
+             flux, res.harmonic, res.mu_rho_eq, res.mu_z_eq,
+             exp_area, exp_obs, exp_energy, classification] for rho in rhos]
     write_csv(args.out,
               ["rho", "area", "energy", "adm_flux", "res_harmonic",
                "res_mu_rho", "res_mu_z", "area_exponent_bulk",

@@ -181,9 +181,11 @@ def adm_flux(zv: ZVModel, radius: float) -> float:
     return integral / (4.0 * math.pi)
 
 
-def _check_rho(zv: ZVModel, rho: float) -> None:
+def _layer_width(zv: ZVModel, rho: float) -> float:
+    """Panel width at which the rod quadratures stop refining toward z = +-a."""
     if not RHO_FLOOR * zv.a <= rho < math.inf:
         raise DomainError(f"rod quadratures need finite rho >= {RHO_FLOOR:g} a, got {rho}")
+    return min(1e-3 * rho, 1e-3 * zv.a)
 
 
 def cylinder_area(zv: ZVModel, rho: float) -> float:
@@ -193,15 +195,11 @@ def cylinder_area(zv: ZVModel, rho: float) -> float:
     the quadrature refines dyadically toward the rod ends; it needs
     rho >= RHO_FLOOR * a.
     """
-    _check_rho(zv, rho)
-
     def f(zs):
         lam, mu = zv_potentials(zv, rho, zs)
         return np.exp(mu - 2.0 * lam)
 
-    inner = min(1e-3 * rho, 1e-3 * zv.a)
-    val = dyadic_gauss(f, -zv.a, zv.a, inner)
-    return 2.0 * math.pi * rho * val
+    return 2.0 * math.pi * rho * dyadic_gauss(f, -zv.a, zv.a, _layer_width(zv, rho))
 
 
 def cylinder_area_exponent(zv: ZVModel) -> float:
@@ -272,9 +270,8 @@ def level_set_energy(zv: ZVModel, rho: float, L: float | None = None) -> float:
     sets; the midplane value is then L = 1, which raises DomainError.
     Like ``cylinder_area`` it needs rho >= RHO_FLOOR * a.
     """
-    _check_rho(zv, rho)
+    inner = _layer_width(zv, rho)
     if L is None:
         L = math.exp(zv_potentials(zv, rho, 0.0)[0])
-    inner = min(1e-3 * rho, 1e-3 * zv.a)
     return dyadic_gauss(lambda zs: level_set_mass_integrand(zv, rho, zs, L),
                         -zv.a, zv.a, inner)
