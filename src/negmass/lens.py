@@ -100,6 +100,14 @@ class LightCurveSample:
     magnification: float | None
 
 
+def _finite(w, z: complex, what: str):
+    """w, or a typed error where it overflowed: next to the point mass or far out."""
+    if math.isfinite(w.real) and math.isfinite(w.imag):
+        return w
+    raise (SingularPointError if abs(z) < 1.0 else DomainError)(
+        f"{what} overflows at z = {z!r}")
+
+
 def _rotated(z, angle: float):
     """z turned by angle; -theta takes the lab frame to the theta = 0 working frame."""
     return z if angle == 0.0 else cmath.exp(1j * angle) * z
@@ -108,30 +116,30 @@ def _rotated(z, angle: float):
 def surface_potential(x, model: LensModel) -> float:
     """Dimensionless surface potential psi(x) of the combined lens."""
     z = _as_point(x, "image position")
-    r2 = z.real * z.real + z.imag * z.imag
-    if model.m != 0.0 and r2 == 0.0:
+    if model.m != 0.0 and z == 0:
         raise SingularPointError("potential is singular at the point mass")
-    val = 0.5 * model.kappa * r2
+    x1, x2 = z.real, z.imag
+    val = 0.5 * model.kappa * (x1 * x1 + x2 * x2)
     if model.m != 0.0:
-        val += 0.5 * model.m * math.log(r2)
+        val += model.m * math.log(abs(z))
     if model.gamma != 0.0:
         c2t = math.cos(2.0 * model.theta)
         s2t = math.sin(2.0 * model.theta)
-        x1, x2 = z.real, z.imag
         val -= 0.5 * model.gamma * ((x1 * x1 - x2 * x2) * c2t + 2.0 * x1 * x2 * s2t)
-    return val
+    return _finite(val, z, "potential")
 
 
 def lens_map(x, model: LensModel) -> complex:
     """Source position eta(z) = (1 - kappa) z + gamma e^{2 i theta} conj(z) - m/conj(z).
 
     Summed term by term so that, unlike z - alpha(z), nothing cancels at
-    kappa = 1.
+    kappa = 1.  Where it overflows, next to the point mass or far out, it
+    raises SingularPointError or DomainError.
     """
     z = _as_point(x, "image position")
     if model.m != 0.0 and z == 0:
         raise SingularPointError("lens map is singular at the point mass")
-    return _eta(z, model)
+    return _finite(_eta(z, model), z, "lens map")
 
 
 def _eta(z, model: LensModel):
@@ -145,10 +153,10 @@ def _eta(z, model: LensModel):
 
 
 def _shear_term(z: complex, model: LensModel) -> complex:
-    """d eta / d conj(z) = gamma e^{2 i theta} + m / conj(z)^2."""
+    """d eta / d conj(z) = gamma e^{2 i theta} + m / conj(z)^2 (divided twice: no overflow far out)."""
     b = model.gamma * cmath.exp(2j * model.theta)
     if model.m != 0.0:
-        b += model.m / (z.conjugate() ** 2)
+        b += model.m / z.conjugate() / z.conjugate()
     return b
 
 
@@ -156,12 +164,14 @@ def jacobian_det(x, model: LensModel) -> float:
     """Jacobian of the lens map, J = (1 - kappa)^2 - |gamma e^{2 i theta} + m/conj(z)^2|^2.
 
     Real by construction (|d eta/dz|^2 - |d eta/d conj z|^2); it vanishes
-    exactly on the critical curves.
+    exactly on the critical curves.  Raises SingularPointError where it
+    overflows next to the point mass.
     """
     z = _as_point(x, "image position")
     if model.m != 0.0 and z == 0:
         raise SingularPointError("Jacobian is singular at the point mass")
-    return (1.0 - model.kappa) ** 2 - abs(_shear_term(z, model)) ** 2
+    u, b = 1.0 - model.kappa, abs(_shear_term(z, model))
+    return _finite(u * u - b * b, z, "Jacobian")
 
 
 def magnification_isolated(x, m: float) -> float:
@@ -183,28 +193,26 @@ def magnification_isolated(x, m: float) -> float:
 def solve_images_isolated(y, m: float) -> ImageSet:
     """Closed-form images of an isolated point mass with m < 0.
 
-    x_pm = (|y| +/- sqrt(|y|^2 + 4m)) / 2 along the unit vector of y.
-    Outside the caustic |y| = 2 sqrt(-m) there are two images; inside,
-    none; on it (within 1e-12), one degenerate image flagged critical.
+    x_pm = (|y| +/- sqrt(|y|^2 + 4m)) / 2 along the unit vector of y,
+    x_- taken as -m / x_+ so that nothing cancels.  Outside the caustic
+    |y| = 2 sqrt(-m) there are two images; inside, none; on it (within
+    1e-12), one degenerate image flagged critical.
     """
     yv = _as_point(y, "source position")
     if not -math.inf < m < 0.0:
         raise DomainError(f"isolated closed form needs a finite negative mass, got {m!r}")
     ynorm = abs(yv)
-    rad = ynorm * ynorm + 4.0 * m
     caustic = 2.0 * math.sqrt(-m)
     if ynorm == 0.0 or (ynorm < caustic and abs(ynorm - caustic) > CAUSTIC_TIE_TOL):
         return ImageSet(flags=("inside-caustic",))
     yhat = yv / ynorm
     if abs(ynorm - caustic) <= CAUSTIC_TIE_TOL:
         pos = math.sqrt(-m) * yhat
-        return ImageSet(
-            images=(ImageSolution(pos, math.inf, abs(lens_map(pos, LensModel(m)) - yv), 0, True),),
-            flags=("critical",),
-        )
-    root = math.sqrt(rad)
+        res = abs(lens_map(pos, LensModel(m)) - yv)
+        return ImageSet(images=(ImageSolution(pos, math.inf, res, 0, True),), flags=("critical",))
+    root = ynorm * math.sqrt(1.0 + 4.0 * (m / ynorm / ynorm))
     out = []
-    for xr in (0.5 * (ynorm + root), 0.5 * (ynorm - root)):
+    for xr in (0.5 * (ynorm + root), -2.0 * m / (ynorm + root)):
         pos = xr * yhat
         mu = magnification_isolated(pos, m)
         res = abs(lens_map(pos, LensModel(m)) - yv)
@@ -301,9 +309,12 @@ def find_images(y, model: LensModel) -> ImageSet:
 
     kappa = 1 with gamma = 0 leaves eta = -m/conj(z), whose one image
     z = -m/conj(y) is taken in closed form (none at y = 0); that case is
-    flagged 'degenerate-linear-part'.
+    flagged 'degenerate-linear-part'.  Raises DomainError past |y| =
+    RESIDUAL_TOL / (8 eps) = 5.6e5, where rounding of y nears RESIDUAL_TOL.
     """
     yv = _as_point(y, "source position")
+    if 8.0 * _EPS * abs(yv) > RESIDUAL_TOL:
+        raise DomainError(f"source at |y| = {abs(yv):g} is too far out for the residual test")
     y0 = _rotated(yv, -model.theta)
     base = LensModel(model.m, model.kappa, model.gamma, 0.0)
     flags: tuple[str, ...] = ()
@@ -333,6 +344,15 @@ def find_images(y, model: LensModel) -> ImageSet:
     return ImageSet(images=tuple(images), flags=flags)
 
 
+def _total_magnification(y: float, m: float) -> float | None:
+    """(y^2 + 2m) / (y sqrt(y^2 + 4m)) as (s + 1/s) / 2, s = sqrt(1 + 4m/y^2), which
+    cannot overflow; None at y = 0 and on or inside the caustic."""
+    if y <= (2.0 * math.sqrt(-m) if m < 0 else 0.0):
+        return None
+    s = math.sqrt(1.0 + 4.0 * (m / y / y))
+    return 0.5 * (s + 1.0 / s)
+
+
 def total_magnification_isolated(y_norm: float, m: float) -> float:
     """Total magnification mu(x+) - mu(x-) = (y^2 + 2m) / (y sqrt(y^2 + 4m)).
 
@@ -341,30 +361,23 @@ def total_magnification_isolated(y_norm: float, m: float) -> float:
     y = float(y_norm)
     if not (math.isfinite(y) and math.isfinite(m)):
         raise ValidationError("total magnification needs finite y_norm and m")
-    if y <= (2.0 * math.sqrt(-m) if m < 0 else 0.0):
+    mu = _total_magnification(y, m)
+    if mu is None:
         raise DomainError("no total magnification at y_norm <= 0 or on or inside the caustic")
-    return (y * y + 2.0 * m) / (y * math.sqrt(y * y + 4.0 * m))
+    return mu
 
 
 def light_curve(m: float, d: float, times) -> list[LightCurveSample]:
     """Total magnification of a unit-speed source with impact parameter d.
 
-    mu(t) = (d^2 + t^2 + 2m) / (sqrt(d^2 + t^2) sqrt(d^2 + t^2 + 4m)).
-    Samples with d^2 + t^2 + 4m <= 0 (source behind the caustic disk,
-    m < 0) are reported with magnification None rather than 0 or NaN.
+    mu(t) is ``total_magnification_isolated`` at y = sqrt(d^2 + t^2).
+    Samples on or inside the caustic disk y <= 2 sqrt(-m) (m < 0), and at
+    y = 0, are reported with magnification None rather than 0 or NaN.
     """
     times = [float(t) for t in times]
     if not all(map(math.isfinite, (m, d, *times))):
         raise ValidationError("light curve needs finite m, d and times")
-    out = []
-    for t in times:
-        r2 = d * d + t * t
-        disc = r2 + 4.0 * m
-        if r2 <= 0.0 or disc <= 0.0:
-            out.append(LightCurveSample(t, None))
-            continue
-        out.append(LightCurveSample(t, (r2 + 2.0 * m) / (math.sqrt(r2) * math.sqrt(disc))))
-    return out
+    return [LightCurveSample(t, _total_magnification(math.hypot(d, t), m)) for t in times]
 
 
 def fermat_gradient(x, y, model: LensModel) -> tuple[float, float]:

@@ -420,6 +420,30 @@ def test_scalar_entry_points_reject_non_finite(call, bad):
         call(bad)
 
 
+_FAR = LensModel(-1.0, 0.3, 0.2)
+
+
+@pytest.mark.parametrize("call, expect", [
+    (lambda: jacobian_det(1e200, _FAR), 0.7 ** 2 - 0.2 ** 2),
+    (lambda: jacobian_det(1e-200, _FAR), SingularPointError),
+    (lambda: lens_map(1e-320, _FAR), SingularPointError),
+    (lambda: surface_potential(1e200, _FAR), DomainError),
+    (lambda: surface_potential(1e-320, LensModel(-1.0)), -math.log(1e-320)),
+    (lambda: find_images(1e200, _FAR), DomainError),
+    (lambda: total_magnification_isolated(1e200, -1.0), 1.0),
+    (lambda: light_curve(-1.0, 1e200, [0.0])[0].magnification, 1.0),
+    (lambda: [im.position for im in solve_images_isolated(1e200, -1.0)], [1e200, 1e-200]),
+], ids=["jacobian_far", "jacobian_near", "map_near", "potential_far", "potential_near",
+        "images_far", "total_far", "curve_far", "closed_far"])
+def test_extreme_magnitudes_accurate_or_raise(call, expect):
+    # each value is accurate to rounding, or the function raises a typed error
+    if isinstance(expect, type):
+        with pytest.raises(expect):
+            call()
+    else:
+        assert call() == pytest.approx(expect, rel=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # light curves
 
