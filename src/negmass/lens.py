@@ -349,7 +349,7 @@ def _total_magnification(y: float, m: float) -> float | None:
     cannot overflow; None at y = 0 and on or inside the caustic."""
     if y <= (2.0 * math.sqrt(-m) if m < 0 else 0.0):
         return None
-    s = math.sqrt(1.0 + 4.0 * (m / y / y))
+    s = math.hypot(1.0, 2.0 * math.sqrt(m) / y) if m > 0 else math.sqrt(1.0 + 4.0 * (m / y / y))
     return 0.5 * (s + 1.0 / s)
 
 

@@ -431,10 +431,11 @@ _FAR = LensModel(-1.0, 0.3, 0.2)
     (lambda: surface_potential(1e-320, LensModel(-1.0)), -math.log(1e-320)),
     (lambda: find_images(1e200, _FAR), DomainError),
     (lambda: total_magnification_isolated(1e200, -1.0), 1.0),
+    (lambda: total_magnification_isolated(1e-200, 1.0), 1e200),
     (lambda: light_curve(-1.0, 1e200, [0.0])[0].magnification, 1.0),
     (lambda: [im.position for im in solve_images_isolated(1e200, -1.0)], [1e200, 1e-200]),
 ], ids=["jacobian_far", "jacobian_near", "map_near", "potential_far", "potential_near",
-        "images_far", "total_far", "curve_far", "closed_far"])
+        "images_far", "total_far", "total_near", "curve_far", "closed_far"])
 def test_extreme_magnitudes_accurate_or_raise(call, expect):
     # each value is accurate to rounding, or the function raises a typed error
     if isinstance(expect, type):
