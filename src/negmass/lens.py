@@ -153,7 +153,10 @@ def _eta(z, model: LensModel):
 
 
 def _shear_term(z: complex, model: LensModel) -> complex:
-    """d eta / d conj(z) = gamma e^{2 i theta} + m / conj(z)^2 (divided twice: no overflow far out)."""
+    """d eta / d conj(z) = gamma e^{2 i theta} + m / conj(z)^2.
+
+    m is divided by conj(z) twice, so that conj(z)^2 cannot overflow far out.
+    """
     b = model.gamma * cmath.exp(2j * model.theta)
     if model.m != 0.0:
         b += model.m / z.conjugate() / z.conjugate()
