@@ -6,13 +6,12 @@ planes are complex numbers z = x1 + i*x2.  The deflection potential is
     psi(x) = m ln|x| + (kappa/2)|x|^2
              - (gamma/2)[(x1^2 - x2^2) cos 2theta + 2 x1 x2 sin 2theta]
 
-and the lens map in complex form (theta = 0 frame) is
+and the lens map in complex form is
 
-    eta(z) = (1 - kappa) z + gamma conj(z) - m / conj(z).
+    eta(z) = (1 - kappa) z + G conj(z) - m / conj(z),  G = gamma e^{2 i theta}.
 
-The point mass m may carry either sign; the negative branch is the case
-of interest throughout.  Nonzero shear angles are handled by rotating
-into the theta = 0 frame, applying the map, and rotating back.
+m may carry either sign; the negative branch is the case of interest.  The
+map, the image polynomial and the Newton polish all work in this lab frame.
 """
 
 from __future__ import annotations
@@ -109,7 +108,7 @@ def _finite(w, z: complex, what: str):
 
 
 def _rotated(z, angle: float):
-    """z turned by angle; -theta takes the lab frame to the theta = 0 working frame."""
+    """z turned by angle; theta takes the theta = 0 critical curve to the lab frame."""
     return z if angle == 0.0 else cmath.exp(1j * angle) * z
 
 
@@ -224,71 +223,70 @@ def solve_images_isolated(y, m: float) -> ImageSet:
     return ImageSet(images=tuple(out))
 
 
-def _image_polynomial(y: complex, m: float, kappa: float, gamma: float) -> list[complex]:
+def _image_polynomial(y: complex, m: float, u: float, G: complex) -> list[complex]:
     """Coefficients (degree 4 down to 0) of the image polynomial in z.
 
     Clearing conj(z) between eta(z) = y and its conjugate yields
 
-        g(g^2-u^2) z^4 + [(u^2-2g^2) conj(y) + u g y] z^3
-        + [g conj(y)^2 - u |y|^2 - 2 g^2 m] z^2
-        + m (2 g conj(y) - u y) z + g m^2 = 0
+        conj(G)(|G|^2-u^2) z^4 + [(u^2-2|G|^2) conj(y) + u conj(G) y] z^3
+        + [G conj(y)^2 - u |y|^2 - 2 |G|^2 m] z^2
+        + m (2 G conj(y) - u y) z + G m^2 = 0
 
-    with u = 1 - kappa, g = gamma.  Elimination introduces extraneous
-    roots, which the residual filter removes downstream.
+    with u = 1 - kappa, G = gamma e^{2 i theta}.  Elimination adds extraneous
+    roots, which the residual filter removes.
     """
-    u = 1.0 - kappa
-    g = gamma
-    yb = y.conjugate()
+    yb, Gb, gg = y.conjugate(), G.conjugate(), abs(G) ** 2
     return [
-        g * (g * g - u * u),
-        (u * u - 2.0 * g * g) * yb + u * g * y,
-        g * yb * yb - u * abs(y) ** 2 - 2.0 * g * g * m,
-        m * (2.0 * g * yb - u * y),
-        g * m * m,
+        Gb * (gg - u * u),
+        (u * u - 2.0 * gg) * yb + u * Gb * y,
+        G * yb * yb - u * abs(y) ** 2 - 2.0 * gg * m,
+        m * (2.0 * G * yb - u * y),
+        G * m * m,
     ]
 
 
-def _newton_polish(z: complex, y: complex, model: LensModel) -> complex:
-    """Newton iteration (at most 60 steps) on the real 2x2 system eta(z) - y = 0."""
+def _polish(z: complex, y: complex, model: LensModel) -> tuple[complex, float]:
+    """Newton on the real 2x2 system eta(z) = y; returns z and |eta(z) - y| at that z.
+
+    Stops at |f| <= 1e-15 max(1, |z|) (about 4.5 eps), at a step <= 4 eps |z|,
+    where J = 0, or after 60 steps.  Past 8 steps it gives up on a root whose
+    |f| is above 1e3 RESIDUAL_TOL and no longer halves per step, which spares
+    linear convergence onto a double root (a source on a fold caustic).  A
+    root within CENTER_TOL of the point mass gets an infinite residual.
+    """
     u = 1.0 - model.kappa
-    for _ in range(60):
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            break
-        if model.m != 0.0 and abs(z) < 1e-14:
-            break
-        f = lens_map(z, model) - y
-        if abs(f) < 1e-15:
-            break
+    step = last = math.inf
+    for k in range(61):
+        if (r := abs(z)) < CENTER_TOL and model.m != 0.0:
+            return z, math.inf
+        res = abs(f := _eta(z, model) - y)
+        if (res <= 1e-15 * max(1.0, r) or abs(step) <= 4.0 * _EPS * r or k == 60
+                or (k >= 8 and res > 1e3 * RESIDUAL_TOL and res > 0.5 * last)):
+            return z, res
         b = _shear_term(z, model)
         det = u * u - abs(b) ** 2
         if det == 0.0:
-            break
+            return z, res
         b1, b2 = b.real, b.imag
         # real Jacobian [[u+b1, b2], [b2, u-b1]]
-        dx = (-f.real * (u - b1) + f.imag * b2) / det
-        dy = (-f.imag * (u + b1) + f.real * b2) / det
-        step = complex(dx, dy)
-        z = z + step
-        if abs(step) < 1e-15 * max(1.0, abs(z)):
-            break
-    return z
+        step = complex((-f.real * (u - b1) + f.imag * b2) / det,
+                       (-f.imag * (u + b1) + f.real * b2) / det)
+        z, last = z + step, res
 
 
-def _collect_images(cands, y: complex, model: LensModel) -> list[ImageSolution]:
-    # rounding of eta's linear part per unit |z|: a point-mass term |m/z|
-    # below it is invisible to the residual filter
+def _collect_images(cands, y: complex, model: LensModel,
+                    z_lin: complex | None) -> list[ImageSolution]:
+    # eta's linear part rounds at about linear * |z|: a root whose |m/z| is below
+    # that passes the residual test whatever it is, so it stays only if it is z_lin
     linear = _EPS * (abs(1.0 - model.kappa) + model.gamma)
     kept: list[ImageSolution] = []
     for z in cands:
-        z = _newton_polish(z, y, model)
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        z, res = _polish(z, y, model)
+        tol = 1e-8 * max(1.0, abs(z))
+        if not res <= RESIDUAL_TOL or any(abs(z - im.position) <= tol for im in kept):
             continue
-        if model.m != 0.0 and (abs(z) < CENTER_TOL or abs(model.m) <= linear * abs(z) ** 2):
-            continue
-        res = abs(lens_map(z, model) - y)
-        if res > RESIDUAL_TOL:
-            continue
-        if any(abs(z - im.position) <= 1e-8 * max(1.0, abs(z)) for im in kept):
+        if model.m != 0.0 and abs(model.m) <= linear * abs(z) ** 2 and (
+                z_lin is None or abs(z - z_lin) > tol):
             continue
         jac = jacobian_det(z, model)
         mu = math.inf if jac == 0.0 else 1.0 / jac
@@ -301,50 +299,42 @@ def _collect_images(cands, y: complex, model: LensModel) -> list[ImageSolution]:
 def find_images(y, model: LensModel) -> ImageSet:
     """All images of a source at y under the combined lens map.
 
-    The conjugate equation is eliminated analytically to a complex
-    polynomial of degree <= 4.  Leading coefficients below 1e-14 of the
-    largest (or of 1) are trimmed, and the roots of what remains
-    (companion-matrix eigenvalues, ``np.roots``) seed a Newton polish on
-    the real system.  Roots with lens-equation residual above 1e-9, or
-    within 1e-12 of the lens center, are discarded, and so are roots
-    so far out that |m/z| sinks below the rounding of the linear part
-    of eta.  Images come back sorted by |z| descending.
+    The conjugate equation is eliminated, in the lab frame, to a complex
+    polynomial of degree <= 4; leading coefficients below 1e-14 of the
+    largest (or of 1) are trimmed.  Each root (companion-matrix eigenvalues,
+    ``np.roots``) is Newton-polished on the real system to rounding level
+    and kept if its residual |eta(z) - y| is at most 1e-9 and it lies 1e-12
+    or more from the lens center.  A root so far out that |m/z| sinks below
+    the rounding of eta's linear part stays only if it is that part's own
+    image z_lin = (u y - G conj(y)) / (u^2 - gamma^2), u = 1 - kappa,
+    G = gamma e^{2 i theta}; at u^2 = gamma^2 there is no z_lin, and all
+    such roots are dropped.  Images come back sorted by |z| descending.
 
     kappa = 1 with gamma = 0 leaves eta = -m/conj(z), whose one image
-    z = -m/conj(y) is taken in closed form (none at y = 0); that case is
-    flagged 'degenerate-linear-part'.  Raises DomainError past |y| =
-    RESIDUAL_TOL / (8 eps) = 5.6e5, where rounding of y nears RESIDUAL_TOL.
+    z = -m/conj(y) is taken in closed form (none at y = 0); it and m = 0
+    at u^2 = gamma^2 are flagged 'degenerate-linear-part'.  Raises
+    DomainError past |y| = RESIDUAL_TOL / (8 eps) = 5.6e5, where rounding
+    of y nears RESIDUAL_TOL.
     """
     yv = _as_point(y, "source position")
     if 8.0 * _EPS * abs(yv) > RESIDUAL_TOL:
         raise DomainError(f"source at |y| = {abs(yv):g} is too far out for the residual test")
-    y0 = _rotated(yv, -model.theta)
-    base = LensModel(model.m, model.kappa, model.gamma, 0.0)
-    flags: tuple[str, ...] = ()
-
+    u, G = 1.0 - model.kappa, model.gamma * cmath.exp(2j * model.theta)
+    det = u * u - model.gamma * model.gamma
+    z_lin = (u * yv - G * yv.conjugate()) / det if det != 0.0 else None
     if model.m == 0.0:
-        u = 1.0 - model.kappa
-        g = model.gamma
-        det = u * u - g * g
-        if det == 0.0:
-            return ImageSet(flags=("degenerate-linear-part",))
-        z0 = (u * y0 - g * y0.conjugate()) / det
-        images = _collect_images([z0], y0, base)
+        cands = [] if z_lin is None else [z_lin]
     elif model.kappa == 1.0 and model.gamma == 0.0:
-        flags = ("degenerate-linear-part",)
-        images = _collect_images([-model.m / y0.conjugate()] if y0 else [], y0, base)
+        cands = [-model.m / yv.conjugate()] if yv else []
     else:
-        coeffs = _image_polynomial(y0, model.m, model.kappa, model.gamma)
+        coeffs = _image_polynomial(yv, model.m, u, G)
         tiny = 1e-14 * max(1.0, *map(abs, coeffs))
         while coeffs and abs(coeffs[0]) <= tiny:
             coeffs.pop(0)
-        images = _collect_images([complex(z) for z in np.roots(coeffs)], y0, base)
-
-    if model.theta != 0.0:
-        images = [ImageSolution(_rotated(im.position, model.theta),
-                                im.signed_magnification, im.residual,
-                                im.parity, im.critical) for im in images]
-    return ImageSet(images=tuple(images), flags=flags)
+        cands = [complex(z) for z in np.roots(coeffs)]
+    degenerate = det == 0.0 and (model.m == 0.0 or model.gamma == 0.0)
+    return ImageSet(images=tuple(_collect_images(cands, yv, model, z_lin)),
+                    flags=("degenerate-linear-part",) if degenerate else ())
 
 
 def _total_magnification(y: float, m: float) -> float | None:

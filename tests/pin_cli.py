@@ -5,7 +5,8 @@
 
 CALLS holds the 27 calls of the benchmark's cli-cold workload, seeds 1-3,
 written out literally, plus the reduced shear gamma* = 1 (the curves have
-NA gap rows) and kappa = 1 cases.  Each call runs in process through
+NA gap rows) and kappa = 1 cases, and four m = -1 surveys at the default
+41 x 41 grid (gamma* = 0, 1/3, 0.2 and 1.8).  Each call runs in process through
 ``negmass.cli.run``; it needs numpy alone.  ``moved`` says how cells compare.
 """
 
@@ -53,6 +54,10 @@ CALLS = {
     "kappa1-lens-critical": ["lens-critical", "--m", "-1.0", "--kappa", "1.0", "--gamma", "0.3"],
     "kappa1-lens-caustics": ["lens-caustics", "--m", "-1.0", "--kappa", "1.0", "--gamma", "0.3"],
     "kappa1-lens-images": ["lens-images", "--m", "-1.0", "--kappa", "1.0", "--gamma", "0.0", "--y", "0.5,-0.25"],
+    "n41-lens-survey-k0-g0": ["lens-survey", "--m", "-1.0", "--kappa", "0.0", "--gamma", "0.0", "--y=-4,4", "--n", "41", "--samples", "8192"],
+    "n41-lens-survey-k0.4-g0.2": ["lens-survey", "--m", "-1.0", "--kappa", "0.4", "--gamma", "0.2", "--y=-4,4", "--n", "41", "--samples", "8192"],
+    "n41-lens-survey-k2-g0.2": ["lens-survey", "--m", "-1.0", "--kappa", "2.0", "--gamma", "0.2", "--y=-4,4", "--n", "41", "--samples", "8192"],
+    "n41-lens-survey-k0.85-g0.27": ["lens-survey", "--m", "-1.0", "--kappa", "0.85", "--gamma", "0.27", "--y=-4,4", "--n", "41", "--samples", "8192"],
 }
 
 REL_TOL = 1e-13
