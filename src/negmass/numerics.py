@@ -63,6 +63,24 @@ def gauss_panel(f, lo: float, hi: float, n: int = 32) -> float:
     return half * float(np.sum(w * f(mid + half * x)))
 
 
+def _power_tail(u, g) -> float:
+    """int_0^u0 of the power g = c u^-q through (u0, g0) and (u1, g1): g0 u0 / (1 - q).
+
+    Closes a radial integral between its singular end u = 0 and its last
+    panel edge u0.  Returns +-inf once q >= 1 - 1e-6 (divergence), and
+    raises NumericalError unless g0 and g1 are finite and of one sign.
+    """
+    g0, g1 = map(float, g)
+    if g0 == 0.0:
+        return 0.0
+    if not (math.isfinite(g0) and math.isfinite(g1) and g0 * g1 > 0.0):
+        raise NumericalError(f"end values {g0!r}, {g1!r} fit no power law")
+    q = math.log(g0 / g1) / math.log(u[1] / u[0])
+    if q >= 1.0 - 1e-6:
+        return math.copysign(math.inf, g0)
+    return g0 * float(u[0]) / (1.0 - q)
+
+
 TAIL_TOL = 1e-10  # relative agreement required of the two Gauss orders
 _TAIL_OCTAVES = 40
 _TAIL_ORDER = 24
@@ -72,16 +90,15 @@ _TAIL_MAX_PANELS = 4096
 def tail_integral(f, a: float) -> float:
     """Improper integral of f over [a, inf) via the substitution u = 1/r.
 
-    Requires f(r) = O(1/r^2) at infinity so the transformed integrand
-    g(u) = f(1/u)/u^2 stays integrable near u = 0.  The u-interval
-    (0, 1/a] is cut into 40 octave panels shrinking toward u = 0, and
-    each panel is integrated at Gauss orders n and 2n (one vectorized
-    call of f per order for all panels).  A panel whose two orders
-    differ by more than its width's share of TAIL_TOL times the total is
-    halved and tried again, which resolves kinks such as the C^2 blend
-    of a power-law profile.  The sliver below the last octave is closed
-    with a rectangle of its boundary value.  Raises NonConvergenceError
-    when the halved panels outgrow 4096.
+    The u-interval (0, 1/a] is cut into 40 octave panels shrinking
+    toward u = 0, and each panel is integrated at Gauss orders n and 2n
+    (one vectorized call of f per order for all panels).  A panel whose
+    two orders differ by more than its width's share of TAIL_TOL times
+    the total is halved and tried again, which resolves kinks such as
+    the C^2 blend of a power-law profile.  ``_power_tail`` closes the
+    sliver below the last octave, so a tail f ~ r^-p is exact there and
+    returns +-inf for p <= 1 + 1e-6.  Raises NonConvergenceError when
+    the halved panels outgrow 4096.
     """
     if a <= 0.0:
         raise NumericalError("tail integral needs a positive lower limit")
@@ -105,7 +122,8 @@ def tail_integral(f, a: float) -> float:
         total += float(fine[~bad].sum())
         mid = 0.5 * (lo[bad] + hi[bad])
         lo, hi = np.vstack((lo[bad], mid)), np.vstack((mid, hi[bad]))
-    return total + float(f(1.0 / edges[-1])) / edges[-1]
+    u = edges[:-3:-1]
+    return total + _power_tail(u, f(1.0 / u) / (u * u))
 
 
 def dyadic_gauss(f, lo: float, hi: float, inner: float) -> float:

@@ -40,8 +40,8 @@ import numpy as np
 from numpy.polynomial.legendre import legint, legvander
 
 from .errors import DomainError, NonConvergenceError, NumericalError, ValidationError
-from .numerics import (_floats, _newton, gauss_nodes, limit_smallstep, richardson_decay,
-                       tail_integral)
+from .numerics import (_floats, _newton, _power_tail, gauss_nodes, limit_smallstep,
+                       richardson_decay, tail_integral)
 
 FOUR_PI = 4.0 * math.pi
 MINUS_INFINITY = -math.inf
@@ -465,7 +465,10 @@ def capacity_center(profile: RadialProfile) -> float:
 
     A pure power-law head is integrated in closed form; otherwise the
     limit is extrapolated from capacities at radii 1e-4 / 2^k, k < 4.
+    Raises DomainError unless the profile's inner end is r = 0.
     """
+    if profile.r_min != 0.0:
+        raise DomainError("central capacity needs the singular end at r = 0")
     eps = 1e-4
     if isinstance(profile, PowerLawProfile):
         if profile.p >= 1.0:
@@ -566,68 +569,52 @@ def _bary(nodes, lam, values, u):
 class _PanelTable:
     """Running integral F(r) of a positive vectorized integrand on Gauss panels.
 
-    The panels are octaves [2^k, 2^(k+1)] of d = r - origin, from 2^-64
-    (30 octaves below the origin when it is positive) up to 16; ``cover``
-    adds octaves above on demand.  F = 0 at d = 1 unless ``anchor`` moves
-    the zero to another edge.  Each panel keeps the integrand at its
-    Gauss nodes and the integral from its left edge to each node, so F
-    and the integrand anywhere inside come from barycentric
-    interpolation (Berrut & Trefethen, SIAM Rev. 46, 2004).
+    The panels are the octaves [2^k, 2^(k+1)] of d = r - origin from 2^-64
+    (30 octaves below the origin when it is positive) up to 2^64, all
+    tabulated at construction; ``integral`` and ``invert`` raise
+    DomainError outside them, and a non-finite integrand value raises
+    NumericalError.  ``anchor`` puts F = 0 at one edge.  Each panel
+    keeps the integrand at its Gauss nodes and the integral from its
+    left edge to each node, so F and the integrand anywhere inside come
+    from barycentric interpolation (Berrut & Trefethen, SIAM Rev. 46, 2004).
     """
 
     def __init__(self, integrand, origin: float):
-        self.integrand, self.origin = integrand, origin
+        self.origin = origin
         k_lo = -64 if origin == 0.0 else min(-1, math.floor(math.log2(origin)) - 30)
-        self.d_edges = 2.0 ** np.arange(k_lo, 5.0)
-        self.g, self.cum, self.totals = self._tabulate(self.d_edges)
-        self.anchor(-k_lo)
+        self.d_edges = d = 2.0 ** np.arange(k_lo, 65.0)
+        x, w, _, spectral, _, _ = _panel_rule()
+        half = 0.5 * np.diff(d)[:, None]
+        self.g = integrand(origin + 0.5 * (d[1:] + d[:-1])[:, None] + half * x)
+        if not np.isfinite(self.g).all():
+            raise NumericalError("integrand is not finite on the panel table")
+        self.cum = np.hstack((np.zeros((len(self.g), 1)),
+                              half * np.einsum("ij,kj->ik", self.g, spectral)))
+        self.totals = (half * self.g * w).sum(axis=1)
 
-    def anchor(self, j: int):
-        """Set F = 0 at edge j, summing panel totals outward from it."""
-        t = self.totals
+    def anchor(self, d: float):
+        """Set F = 0 at the edge d, summing panel totals outward from it."""
+        j, t = int(np.searchsorted(self.d_edges, d)), self.totals
         self.F = np.concatenate((-np.cumsum(t[:j][::-1])[::-1], [0.0], np.cumsum(t[j:])))
 
-    def _tabulate(self, d_edges):
-        x, w, _, spectral, _, _ = _panel_rule()
-        half = 0.5 * np.diff(d_edges)[:, None]
-        g = self.integrand(self.origin + 0.5 * (d_edges[1:] + d_edges[:-1])[:, None]
-                           + half * x)
-        cum = np.hstack((np.zeros((len(g), 1)), half * np.einsum("ij,kj->ik", g, spectral)))
-        return g, cum, (half * g * w).sum(axis=1)
-
-    @property
-    def top(self) -> float:
-        return self.origin + self.d_edges[-1]
-
-    def cover(self, r: float):
-        """Add octave panels above until the table reaches r."""
-        if r <= self.top:
-            return
-        k_top = math.log2(self.d_edges[-1])
-        d_edges = 2.0 ** np.arange(k_top, math.ceil(math.log2(r - self.origin)) + 1.0)
-        g, cum, totals = self._tabulate(d_edges)
-        self.d_edges = np.concatenate((self.d_edges, d_edges[1:]))
-        self.g, self.cum = np.vstack((self.g, g)), np.vstack((self.cum, cum))
-        self.totals = np.concatenate((self.totals, totals))
-        self.F = np.concatenate((self.F, self.F[-1] + np.cumsum(totals)))
-
-    def _panel(self, idx):
-        i = np.clip(idx - 1, 0, len(self.d_edges) - 2)
+    def _panel(self, edges, v):
+        """Panel index and d-edges of each v, located among ``edges`` (d or F at the edges)."""
+        if not ((v >= edges[0]) & (v <= edges[-1])).all():
+            raise DomainError("outside the tabulated conformal range")
+        i = np.clip(np.searchsorted(edges, v, side="right") - 1, 0, len(edges) - 2)
         return i, self.d_edges[i], self.d_edges[i + 1]
 
     def integral(self, r):
-        r = np.asarray(r, dtype=float)
-        d = (r - self.origin).ravel()
-        i, lo, hi = self._panel(np.searchsorted(self.d_edges, d, side="right"))
+        d = np.ravel(r) - self.origin
+        i, lo, hi = self._panel(self.d_edges, d)
         u = (2.0 * d - lo - hi) / (hi - lo)
         _, _, x1, _, _, lam1 = _panel_rule()
-        return (self.F[i] + _bary(x1, lam1, self.cum[i], u)).reshape(r.shape)
+        return (self.F[i] + _bary(x1, lam1, self.cum[i], u)).reshape(np.shape(r))
 
     def invert(self, y):
         """r with F(r) = y, by safeguarded Newton on the panel interpolant."""
-        y = np.asarray(y, dtype=float)
-        flat = y.ravel()
-        i, lo, hi = self._panel(np.searchsorted(self.F, flat, side="right"))
+        flat = np.ravel(y)
+        i, lo, hi = self._panel(self.F, flat)
         F0, cum, g = self.F[i], self.cum[i], self.g[i]
         x, _, x1, _, lam, lam1 = _panel_rule()
 
@@ -636,7 +623,7 @@ class _PanelTable:
             return F0 + _bary(x1, lam1, cum, u) - flat, _bary(x, lam, g, u)
 
         start = lo + (hi - lo) * (flat - F0) / (self.F[i + 1] - F0)
-        return (self.origin + _newton(residual, start, lo, hi)).reshape(y.shape)
+        return (self.origin + _newton(residual, start, lo, hi)).reshape(np.shape(y))
 
 
 class ConformalProfile(RadialProfile):
@@ -655,12 +642,13 @@ class ConformalProfile(RadialProfile):
     exactly the conformal construction of a point singularity there
     (areas shrink to zero).
 
-    Two panel tables are built once and grow outward on demand: the
-    running integral of 4 pi/A above the base's inner end (f is its
-    complement, anchored by a tail integral one unit above that end), and the
-    new arclength s_new = int phi^2 ds above the floor.  s_new starts
-    at the floor when that integral converges there, and at base radius
-    1 (the domain then unbounded below) when it diverges.
+    Two panel tables are built once, and the profile is immutable: the
+    running integral of 4 pi/A above the base's inner end, anchored at
+    the table top (f is its complement plus the tail above the top),
+    and the new arclength s_new = int phi^2 ds above the floor.
+    ``numerics._power_tail`` closes both ends beyond the tables.  s_new
+    starts at the floor when int phi^2 ds converges there, and at base
+    radius 1 (the domain then unbounded below) when it diverges.
     """
 
     kind = "conformal"
@@ -670,60 +658,52 @@ class ConformalProfile(RadialProfile):
             raise ValidationError("conformal strength must be finite")
         if not base.r_min >= 0.0:
             raise DomainError("conformal base must start at a radius >= 0")
-        self.base = base
-        self.C = float(C)
+        self.base, self.C = base, float(C)
         inner = base.r_min
-        self._f1 = radial_capacity_function(base, inner + 1.0)
-        self._inv_area = _PanelTable(lambda r: FOUR_PI / base.area(r), inner)
+        self._inv_area = table = _PanelTable(lambda r: FOUR_PI / base.area(r), inner)
+        table.anchor(table.d_edges[-1])
+        r = inner + table.d_edges[:-3:-1]  # f above the top, in u = 1/r
+        self._f_top = _power_tail(1.0 / r, FOUR_PI * r * r / base.area(r))
+        if math.isinf(self._f_top):
+            raise NumericalError("the base's capacity function diverges")
         floor = self._find_floor()
-        self._arc = _PanelTable(lambda r: self._phi(r) ** 2, floor)
-        P0, P1 = self._arc.totals[:2]
-        if floor == inner and P0 >= P1:
+        self._arc = arc = _PanelTable(lambda r: self._phi(r) ** 2, floor)
+        d = arc.d_edges[:2]
+        below = _power_tail(d, self._phi(floor + d) ** 2)
+        if math.isinf(below):
             # int phi^2 ds diverges at the inner end: s_new = 0 at base radius 1
+            arc.anchor(1.0)
             self._s0, r_min = 0.0, -math.inf
         else:
-            # s_new = 0 at the floor.  phi vanishes linearly at a crossing, so the
-            # sliver below the table is negligible; at the base's inner end the
-            # octave integrals shrink geometrically, P0 sum_k (P0/P1)^k
-            self._arc.anchor(0)
-            self._s0, r_min = (0.0 if floor > inner else -P0 * P0 / (P1 - P0)), 0.0
+            arc.anchor(d[0])
+            self._s0, r_min = -below, 0.0
         super().__init__(r_min, math.inf)
 
     def _phi(self, r):
-        self._inv_area.cover(np.max(r))
-        return 1.0 + self.C * (self._f1 - self._inv_area.integral(r))
+        return 1.0 + self.C * (self._f_top - self._inv_area.integral(r))
 
     def _find_floor(self) -> float:
         """Zero crossing of phi (increasing in r for C < 0), else the base's inner end."""
         if self.C >= 0.0:
             return self.base.r_min
         table = self._inv_area
-        target = self._f1 + 1.0 / self.C  # running integral where phi = 0
-        while table.F[-1] <= target:  # strong factors push the crossing outward
-            if table.top > 1e30:
-                raise NumericalError("conformal factor stays nonpositive")
-            table.cover(2.0 * table.top)
-        if table.F[0] >= target:
-            return self.base.r_min  # phi > 0 all the way in
-        return float(table.invert(target))
+        target = self._f_top + 1.0 / self.C  # running integral where phi = 0
+        if target >= 0.0:  # strong factors push the crossing past the table top
+            raise NumericalError("conformal factor stays nonpositive")
+        if table.F[0] < target:
+            return float(table.invert(target))
+        d = table.d_edges[:2]
+        if _power_tail(d, FOUR_PI / self.base.area(table.origin + d)) >= table.F[0] - target:
+            raise DomainError("conformal factor vanishes below the tabulated range")
+        return self.base.r_min  # phi > 0 all the way in
 
     def new_arclength(self, r):
         """s_new(r), the phi^2-weighted arclength, for a float or an array."""
-        r = np.asarray(r, dtype=float)
-        if np.any(r < self._arc.origin + self._arc.d_edges[0]):
-            raise DomainError("radius below the conformal domain")
-        self._arc.cover(np.max(r))
         return _floats(self._arc.integral(r) - self._s0)[0]
 
     def old_radius(self, s_new):
         """Base radius r with new arclength s_new, for a float or an array."""
-        y = np.asarray(s_new, dtype=float) + self._s0
-        table = self._arc
-        while table.F[-1] < np.max(y):
-            table.cover(table.top + 2.0 * (np.max(y) - table.F[-1]))
-        if np.any(y < table.F[0]):
-            raise DomainError("arclength below the tabulated conformal domain")
-        return _floats(table.invert(y))[0]
+        return _floats(self._arc.invert(np.asarray(s_new, dtype=float) + self._s0))[0]
 
     def eval(self, s):
         s = self._check(s)

@@ -5,8 +5,9 @@
 
 CALLS holds the 27 calls of the benchmark's cli-cold workload, seeds 1-3,
 written out literally, plus the reduced shear gamma* = 1 (the curves have
-NA gap rows) and kappa = 1 cases, and four m = -1 surveys at the default
-41 x 41 grid (gamma* = 0, 1/3, 0.2 and 1.8).  Each call runs in process through
+NA gap rows) and kappa = 1 cases, four m = -1 surveys at the default
+41 x 41 grid (gamma* = 0, 1/3, 0.2 and 1.8), and four spherical reports at
+r0 = 2 that reach the power-law and positive-mass capacity paths.  Each call runs in process through
 ``negmass.cli.run``; it needs numpy alone.  ``moved`` says how cells compare.
 """
 
@@ -58,6 +59,10 @@ CALLS = {
     "n41-lens-survey-k0.4-g0.2": ["lens-survey", "--m", "-1.0", "--kappa", "0.4", "--gamma", "0.2", "--y=-4,4", "--n", "41", "--samples", "8192"],
     "n41-lens-survey-k2-g0.2": ["lens-survey", "--m", "-1.0", "--kappa", "2.0", "--gamma", "0.2", "--y=-4,4", "--n", "41", "--samples", "8192"],
     "n41-lens-survey-k0.85-g0.27": ["lens-survey", "--m", "-1.0", "--kappa", "0.85", "--gamma", "0.27", "--y=-4,4", "--n", "41", "--samples", "8192"],
+    "k3-p0.5-spherical-report": ["spherical-report", "--profile", "power-law", "--k", "3", "--p", "0.5", "--r0", "2"],
+    "k20-p1.5-spherical-report": ["spherical-report", "--profile", "power-law", "--k", "20", "--p", "1.5", "--r0", "2"],
+    "k2-p4_3-spherical-report": ["spherical-report", "--profile", "power-law", "--k", "2", "--p", "1.3333333333333333", "--r0", "2"],
+    "pos-m1-spherical-report": ["spherical-report", "--profile", "neg-schwarzschild", "--mass", "1", "--r0", "2"],
 }
 
 REL_TOL = 1e-13

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from negmass.errors import NonConvergenceError, NumericalError
-from negmass.numerics import (dyadic_gauss, gauss_panel, limit_smallstep, richardson_decay,
-                              tail_integral)
+from negmass.numerics import (_power_tail, dyadic_gauss, gauss_panel, limit_smallstep,
+                              richardson_decay, tail_integral)
 
 
 def test_tail_integral_inverse_square():
@@ -23,6 +23,23 @@ def test_tail_integral_log_tail():
     for a in (0.01, 2.0, 50.0):
         assert tail_integral(lambda r: np.log(r) / r ** 2, a) == pytest.approx(
             (1.0 + math.log(a)) / a, rel=1e-10)
+
+
+def test_tail_integral_closes_a_power_tail_exactly():
+    # the sliver below the last octave is int_0^u0 c u^-q du, not a rectangle
+    assert tail_integral(lambda r: r ** -1.5, 1.0) == pytest.approx(2.0, rel=1e-12)
+    assert tail_integral(lambda r: 1.0 / r, 1.0) == math.inf
+    assert tail_integral(lambda r: -r ** -0.9, 1.0) == -math.inf
+
+
+def test_power_tail_fits_two_end_values():
+    u = (0.25, 0.5)
+    assert _power_tail(u, (0.25 ** -0.5, 0.5 ** -0.5)) == pytest.approx(2.0 * 0.5)
+    assert _power_tail(u, (0.0, 1.0)) == 0.0
+    assert _power_tail(u, (4.0, 2.0)) == math.inf  # g = 1/u
+    for bad in ((1.0, -1.0), (1.0, 0.0), (math.nan, 1.0), (1.0, math.inf)):
+        with pytest.raises(NumericalError):
+            _power_tail(u, bad)
 
 
 def test_tail_integral_raises_when_orders_disagree():

@@ -50,3 +50,9 @@ def test_every_public_name_has_a_user():
               if name not in used and not re.search(rf"\b{name}\b", text)}
     assert unused - TEST_ORACLES == set(), "public names only tests reach"
     assert TEST_ORACLES - unused == set(), "oracles that gained a user or were removed"
+
+
+def test_readme_library_tour_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    tour = re.search(r"## Library tour\s+```python\n(.*?)```", readme, re.DOTALL)
+    exec(compile(tour.group(1), "README.md library tour", "exec"), {})

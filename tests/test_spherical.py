@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from negmass.errors import (DomainError, NonConvergenceError, ValidationError)
+from negmass.errors import DomainError, NonConvergenceError, NumericalError, ValidationError
 from negmass.spherical import (ConformalProfile, ConformalSchwarzschildProfile,
                                CustomProfile, FlatProfile, MassReport, PowerLawProfile,
                                TabulatedProfile, adm_mass, apply_harmonic_conformal,
@@ -289,6 +289,35 @@ def test_capacity_center_cases():
     assert capacity_center(PowerLawProfile(3.0, 1.2)) == 0.0
 
 
+def line_profile():
+    # A = 4 pi r: f = int_r^inf ds/s diverges, so no capacity is defined
+    return CustomProfile(lambda r: (4 * math.pi * r, 4 * math.pi, 0.0))
+
+
+def test_capacity_divergent_tail_raises():
+    with pytest.raises(NumericalError):
+        radial_capacity(line_profile(), 1.0)
+
+
+def test_capacity_center_positive_limit():
+    # the horizon of a positive mass has capacity m; phi = 1 + C f over a
+    # base with f -> inf has capacity function f/phi -> 1/C at the center
+    for m in (0.3, 1.0, 2.0):
+        assert capacity_center(ConformalSchwarzschildProfile(m)) == pytest.approx(m, rel=1e-9)
+    prof = ConformalProfile(ConformalSchwarzschildProfile(-1.0), 1.0)
+    assert prof.r_min == 0.0
+    assert capacity_center(prof) == pytest.approx(1.0, rel=1e-9)
+
+
+def test_capacity_center_needs_center_at_zero():
+    # s_new of phi = 1 + C/r runs to -inf at the center: no r = 0 to take limits at
+    for prof in (ConformalProfile(FlatProfile(), 0.3),
+                 CustomProfile(lambda r: (4 * math.pi * r * r, 8 * math.pi * r, 8 * math.pi),
+                               r_min=1.0)):
+        with pytest.raises(DomainError):
+            capacity_center(prof)
+
+
 # ---------------------------------------------------------------------------
 # power-law classification
 
@@ -382,6 +411,38 @@ def test_conformal_adm_audit_ignores_rounding_noise():
     # strengths it once read as a non-flat tail and the audit raised
     for C in (-0.36705536726046406, -0.6328906445499611):
         assert abs(apply_harmonic_conformal(FlatProfile(), C).adm_check) <= 1e-6
+
+
+def test_conformal_log_divergent_inner_end():
+    # A = k r^1.5: f ~ r^-1/2 and phi^2 ~ 1/r, so s_new diverges logarithmically inward
+    for k in (3.0, 7.5, 20.0):
+        for C in (0.05, 0.3, 1.0):
+            res = apply_harmonic_conformal(PowerLawProfile(k, 1.5), C)
+            assert res.profile.r_min == -math.inf
+            assert abs(res.adm_check) <= 1e-6
+
+
+def test_conformal_tables_raise_outside_their_range():
+    prof = ConformalProfile(FlatProfile(), -0.5)
+    top = prof.new_arclength(1e19)
+    # the table runs from 2^-31 above the zero of phi at r = 0.5 to 2^64
+    for call, arg in ((prof.new_arclength, 1e20), (prof.new_arclength, 0.5),
+                      (prof.old_radius, 2.0 * top), (prof.area, 2.0 * top)):
+        with pytest.raises(DomainError):
+            call(arg)
+    # a table that cannot hold the zero of phi, or a base with no capacity function
+    with pytest.raises(DomainError):
+        ConformalProfile(PowerLawProfile(1000.0, 1.0), -0.1)
+    for C in (0.0, 0.5):
+        with pytest.raises(NumericalError):
+            ConformalProfile(line_profile(), C)
+
+
+def test_conformal_positive_factor_down_to_the_center():
+    # f(0) = 8.06 for A = 3 r^0.5: phi = 1 - 0.1 f stays positive, -0.2 f crosses zero
+    assert ConformalProfile(PowerLawProfile(3.0, 0.5), -0.1).r_min == 0.0
+    prof = ConformalProfile(PowerLawProfile(3.0, 0.5), -0.2)
+    assert prof.r_min == 0.0 and prof._arc.origin > 0.0
 
 
 def test_conformal_regular_mass_of_created_singularity():
