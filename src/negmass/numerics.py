@@ -1,8 +1,8 @@
 """Shared numerical kernels: quadrature, bracketed Newton, limit extraction.
 
-Everything here is deterministic and dependency-light; the rest of the
-package builds its integrals, inversions and extrapolated limits on
-these routines.
+Everything here is deterministic and dependency-light.  Radial integrals
+into a singular end all run on ``end_integral``: the capacity tail in
+u = 1/r and its head in r.
 """
 
 from __future__ import annotations
@@ -82,48 +82,57 @@ def _power_tail(u, g) -> float:
 
 
 TAIL_TOL = 1e-10  # relative agreement required of the two Gauss orders
-_TAIL_OCTAVES = 40
-_TAIL_ORDER = 24
-_TAIL_MAX_PANELS = 4096
+_END_ORDER = 24
 
 
-def tail_integral(f, a: float) -> float:
-    """Improper integral of f over [a, inf) via the substitution u = 1/r.
+def end_integral(h, b: float, stop: float = 0.0) -> float:
+    """int_0^b h(u) du for a vectorized h that may be singular at u = 0.
 
-    The u-interval (0, 1/a] is cut into 40 octave panels shrinking
-    toward u = 0, and each panel is integrated at Gauss orders n and 2n
-    (one vectorized call of f per order for all panels).  A panel whose
-    two orders differ by more than its width's share of TAIL_TOL times
-    the total is halved and tried again, which resolves kinks such as
-    the C^2 blend of a power-law profile.  ``_power_tail`` closes the
-    sliver below the last octave, so a tail f ~ r^-p is exact there and
-    returns +-inf for p <= 1 + 1e-6.  Raises NonConvergenceError when
-    the halved panels outgrow 4096.
+    Octave panels [b 2^-k-1, b 2^-k] shrink toward 0 down to 2^-40 min(1, b),
+    or to ``stop`` (the least u where h is defined) if larger.  Each gets
+    Gauss orders n and 2n, one call of h per order for all panels, and is
+    halved while they differ by more than TAIL_TOL times the larger of its
+    width's share of the total and its own value, which resolves kinks.
+    ``_power_tail`` closes the sliver below: exact for h ~ u^-q, +-inf for
+    q >= 1 - 1e-6.  Raises NonConvergenceError past 4096 panels.
     """
-    if a <= 0.0:
-        raise NumericalError("tail integral needs a positive lower limit")
-    edges = 2.0 ** -np.arange(_TAIL_OCTAVES + 1.0) / a
+    far = max(2.0 ** -40 * min(1.0, b), stop)
+    octaves = math.floor(math.log2(b / far))
+    if octaves < 1:
+        raise NumericalError("end integral needs b >= 2 stop")
+    edges = b * 2.0 ** -np.arange(octaves + 1.0)
     lo, hi = edges[1:, None], edges[:-1, None]
 
     def panels(n):
         x, w = gauss_nodes(n)
-        u = 0.5 * (hi + lo) + 0.5 * (hi - lo) * x
-        return np.sum(0.5 * (hi - lo) * w * f(1.0 / u) / (u * u), axis=1)
+        return np.sum(0.5 * (hi - lo) * w * h(0.5 * (hi + lo) + 0.5 * (hi - lo) * x), axis=1)
 
     total, scale = 0.0, None
     while lo.size:
-        if lo.size > _TAIL_MAX_PANELS:
-            raise NonConvergenceError("tail integral: Gauss orders disagree",
+        if lo.size > 4096:
+            raise NonConvergenceError("end integral: Gauss orders disagree",
                                       samples=[total, scale])
-        coarse, fine = panels(_TAIL_ORDER), panels(2 * _TAIL_ORDER)
+        coarse, fine = panels(_END_ORDER), panels(2 * _END_ORDER)
         if scale is None:
             scale = abs(float(fine.sum()))
-        bad = np.abs(fine - coarse) > TAIL_TOL * scale * (hi - lo)[:, 0] / edges[0]
+        bad = np.abs(fine - coarse) > TAIL_TOL * np.maximum(scale * (hi - lo)[:, 0] / b,
+                                                            np.abs(fine))
         total += float(fine[~bad].sum())
         mid = 0.5 * (lo[bad] + hi[bad])
         lo, hi = np.vstack((lo[bad], mid)), np.vstack((mid, hi[bad]))
     u = edges[:-3:-1]
-    return total + _power_tail(u, f(1.0 / u) / (u * u))
+    return total + _power_tail(u, h(u))
+
+
+def tail_integral(f, a: float) -> float:
+    """Improper integral of f over [a, inf): ``end_integral`` in u = 1/r.
+
+    The last edge is r = 2^40 for every a <= 1, far enough out that a log
+    term such as the chart's m log R no longer biases the closing power fit.
+    """
+    if a <= 0.0:
+        raise NumericalError("tail integral needs a positive lower limit")
+    return end_integral(lambda u: f(1.0 / u) / (u * u), 1.0 / a)
 
 
 def dyadic_gauss(f, lo: float, hi: float, inner: float) -> float:
@@ -183,7 +192,7 @@ def richardson_decay(values):
 
 
 def limit_smallstep(values):
-    """Extrapolate f(eps), f(eps/2), f(eps/4), f(eps/8) to eps -> 0.
+    """Extrapolate f(eps), f(eps/2), f(eps/4), f(eps/8) to eps -> 0 (for regular_mass).
 
     The leading correction exponent is unknown (profiles often carry
     fractional powers), so it is estimated from successive difference

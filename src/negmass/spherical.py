@@ -40,8 +40,8 @@ import numpy as np
 from numpy.polynomial.legendre import legint, legvander
 
 from .errors import DomainError, NonConvergenceError, NumericalError, ValidationError
-from .numerics import (_floats, _newton, _power_tail, gauss_nodes, limit_smallstep,
-                       richardson_decay, tail_integral)
+from .numerics import (_floats, _newton, _power_tail, end_integral, gauss_nodes,
+                       limit_smallstep, richardson_decay, tail_integral)
 
 FOUR_PI = 4.0 * math.pi
 MINUS_INFINITY = -math.inf
@@ -59,6 +59,11 @@ class RadialProfile:
     def eval(self, r):
         """(A, A', A'') at r: floats for a float r, arrays shaped like r otherwise."""
         raise NotImplementedError
+
+    @property
+    def inner_edge(self) -> float:
+        """Smallest radius ``eval`` accepts: r_min, or a table's first edge."""
+        return self.r_min
 
     def area(self, r):
         return self.eval(r)[0]
@@ -225,12 +230,6 @@ class PowerLawProfile(RadialProfile):
         blend = head + np.array([w * d0, dw * d0 + w * d1, d2w * d0 + 2.0 * dw * d1 + w * d2])
         A, dA, d2A = np.where(r <= g, head, np.where(r >= 2.0 * g, flat, blend))
         return _floats(A, dA, d2A)
-
-    def head_capacity_integral(self, r: float) -> float:
-        """Exact int_0^r ds/(k s^p) on the power-law head (needs p < 1)."""
-        if self.p >= 1.0:
-            raise DomainError("head integral diverges for p >= 1")
-        return r ** (1.0 - self.p) / (self.k * (1.0 - self.p))
 
 
 class CustomProfile(RadialProfile):
@@ -461,32 +460,18 @@ def radial_capacity(profile: RadialProfile, r0: float) -> float:
 
 
 def capacity_center(profile: RadialProfile) -> float:
-    """Capacity of the central point: lim_{r->0} f(r)^{-1}, 0 when f diverges.
+    """Capacity of the central point: 1/f(0), 0 when f(0) diverges at either end.
 
-    A pure power-law head is integrated in closed form; otherwise the
-    limit is extrapolated from capacities at radii 1e-4 / 2^k, k < 4.
-    Raises DomainError unless the profile's inner end is r = 0.
+    f(0) = 4 pi int_0^1 ds/A + f(1), the head one ``end_integral`` down
+    to the profile's ``inner_edge``.  Raises DomainError unless the
+    profile's inner end is r = 0.
     """
     if profile.r_min != 0.0:
         raise DomainError("central capacity needs the singular end at r = 0")
-    eps = 1e-4
-    if isinstance(profile, PowerLawProfile):
-        if profile.p >= 1.0:
-            return 0.0
-        r_in = min(eps, 0.5 * profile.r_glue)
-        return 1.0 / (FOUR_PI * profile.head_capacity_integral(r_in)
-                      + radial_capacity_function(profile, r_in))
-    caps = [radial_capacity(profile, eps / 2.0 ** k) for k in range(4)]
-    lim = limit_smallstep(caps)
-    if lim == -math.inf:
+    head = end_integral(lambda s: 1.0 / profile.area(s), 1.0, profile.inner_edge)
+    if math.isinf(head):
         return 0.0
-    if not math.isfinite(lim):
-        raise NumericalError("central capacity extrapolation ran away")
-    # capacities sliding well below the finest sample are heading to zero
-    # (f diverging); a genuinely positive limit tracks the samples closely
-    if lim < 0.5 * caps[-1]:
-        return 0.0
-    return max(lim, 0.0)
+    return 1.0 / (FOUR_PI * head + radial_capacity_function(profile, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -696,6 +681,11 @@ class ConformalProfile(RadialProfile):
         if _power_tail(d, FOUR_PI / self.base.area(table.origin + d)) >= table.F[0] - target:
             raise DomainError("conformal factor vanishes below the tabulated range")
         return self.base.r_min  # phi > 0 all the way in
+
+    @property
+    def inner_edge(self) -> float:
+        """New arclength at the phi^2 table's first edge; ``eval`` raises below it."""
+        return float(self._arc.F[0] - self._s0)
 
     def new_arclength(self, r):
         """s_new(r), the phi^2-weighted arclength, for a float or an array."""

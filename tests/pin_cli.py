@@ -6,8 +6,10 @@
 CALLS holds the 27 calls of the benchmark's cli-cold workload, seeds 1-3,
 written out literally, plus the reduced shear gamma* = 1 (the curves have
 NA gap rows) and kappa = 1 cases, four m = -1 surveys at the default
-41 x 41 grid (gamma* = 0, 1/3, 0.2 and 1.8), and four spherical reports at
-r0 = 2 that reach the power-law and positive-mass capacity paths.  Each call runs in process through
+41 x 41 grid (gamma* = 0, 1/3, 0.2 and 1.8), four spherical reports at
+r0 = 2 that reach the power-law and positive-mass capacity paths, and one
+positive-mass report at r0 = 1e-5, whose capacity needs the tail integral's
+far end at r = 2^40.  Each call runs in process through
 ``negmass.cli.run``; it needs numpy alone.  ``moved`` says how cells compare.
 """
 
@@ -63,6 +65,7 @@ CALLS = {
     "k20-p1.5-spherical-report": ["spherical-report", "--profile", "power-law", "--k", "20", "--p", "1.5", "--r0", "2"],
     "k2-p4_3-spherical-report": ["spherical-report", "--profile", "power-law", "--k", "2", "--p", "1.3333333333333333", "--r0", "2"],
     "pos-m1-spherical-report": ["spherical-report", "--profile", "neg-schwarzschild", "--mass", "1", "--r0", "2"],
+    "pos-m1-r1e-5-spherical-report": ["spherical-report", "--profile", "neg-schwarzschild", "--mass", "1", "--r0", "1e-5"],
 }
 
 REL_TOL = 1e-13

@@ -197,6 +197,16 @@ def test_cli_spherical_report(tmp_path):
     assert table["capacity_center"] == 0.0
 
 
+def test_cli_spherical_report_small_r0(tmp_path):
+    # the capacity tail from r0 = 1e-6 must settle, not raise NonConvergenceError
+    out = tmp_path / "r.csv"
+    assert run(["spherical-report", "--profile", "neg-schwarzschild", "--mass", "1",
+                "--r0", "1e-6", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    table = {r[0]: r[1] for r in rows}
+    assert table["capacity_r0"] == pytest.approx(1.0 + 2.5e-7, rel=1e-10)
+
+
 def test_cli_spherical_report_power_law(tmp_path):
     out = tmp_path / "r.csv"
     assert run(["spherical-report", "--profile", "power-law", "--k", "3",

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from negmass.errors import NonConvergenceError, NumericalError
-from negmass.numerics import (_power_tail, dyadic_gauss, gauss_panel, limit_smallstep,
-                              richardson_decay, tail_integral)
+from negmass.numerics import (_power_tail, dyadic_gauss, end_integral, gauss_panel,
+                              limit_smallstep, richardson_decay, tail_integral)
 
 
 def test_tail_integral_inverse_square():
@@ -30,6 +30,17 @@ def test_tail_integral_closes_a_power_tail_exactly():
     assert tail_integral(lambda r: r ** -1.5, 1.0) == pytest.approx(2.0, rel=1e-12)
     assert tail_integral(lambda r: 1.0 / r, 1.0) == math.inf
     assert tail_integral(lambda r: -r ** -0.9, 1.0) == -math.inf
+
+
+def test_end_integral_stops_at_its_inner_edge():
+    # h is unusable below stop; _power_tail closes int_0^stop u^-0.5 du exactly
+    def h(u):
+        assert (u >= 1e-3).all()
+        return u ** -0.5
+    assert end_integral(h, 1.0, 1e-3) == pytest.approx(2.0, rel=1e-12)
+    assert end_integral(lambda u: u ** -1.25, 1.0) == math.inf
+    with pytest.raises(NumericalError):
+        end_integral(h, 1.0, 0.6)
 
 
 def test_power_tail_fits_two_end_values():

@@ -12,7 +12,8 @@ from negmass.spherical import (ConformalProfile, ConformalSchwarzschildProfile,
                                TabulatedProfile, adm_mass, apply_harmonic_conformal,
                                bump_profile, capacity_center, classify_power_law,
                                hawking_mass_sphere, parse_profile_file,
-                               radial_capacity, regular_mass, scalar_curvature)
+                               radial_capacity, radial_capacity_function, regular_mass,
+                               scalar_curvature)
 
 K_SCHW = 16.0 * math.pi * (3.0 / 4.0) ** (4.0 / 3.0)  # A ~ k s^{4/3} for |m| = 1
 
@@ -270,7 +271,10 @@ def test_capacity_schwarzschild_matches_closed_form():
 
 
 def test_capacity_meets_closed_form_to_tail_tolerance():
-    for m, r0 in ((-3.0, 1e-3), (1.0, 1e-3), (-1.0, 1e-2)):
+    # small r0 for m = 1: the tail's octaves must still reach r = 2^40, where
+    # the chart's m log R term no longer biases the closing power fit
+    for m, r0 in ((-3.0, 1e-3), (1.0, 1e-3), (-1.0, 1e-2), (1.0, 1e-6), (1.0, 1e-7),
+                  (1.0, 1e-9)):
         cs = ConformalSchwarzschildProfile(m)
         assert radial_capacity(cs, r0) == pytest.approx(cs.capacity_exact(r0), rel=1e-10)
 
@@ -286,7 +290,22 @@ def test_capacity_center_cases():
     assert capacity_center(ConformalSchwarzschildProfile(-1.0)) == 0.0
     assert capacity_center(FlatProfile()) == 0.0
     assert capacity_center(PowerLawProfile(3.0, 0.5)) > 0.0
-    assert capacity_center(PowerLawProfile(3.0, 1.2)) == 0.0
+    for p in (1.0, 1.2, 4.0 / 3.0, 2.0):
+        assert capacity_center(PowerLawProfile(3.0, p)) == 0.0
+    # A = 4 pi sqrt(r): the head converges, the tail diverges, so f(0) = inf
+    root = CustomProfile(lambda r: (4 * math.pi * np.sqrt(r), 2 * math.pi / np.sqrt(r),
+                                    -math.pi / r ** 1.5))
+    assert capacity_center(root) == 0.0
+
+
+def test_capacity_center_power_law_head_closed_form():
+    # int_0^r ds/(k s^p) = r^(1-p)/(k (1-p)) on the pure head r <= r_glue
+    for k, p in ((3.0, 0.5), (1.0, 0.9), (3.0, 0.99999)):
+        prof = PowerLawProfile(k, p)
+        r = 0.5 * prof.r_glue
+        exact = 1.0 / (4.0 * math.pi * r ** (1.0 - p) / (k * (1.0 - p))
+                       + radial_capacity_function(prof, r))
+        assert capacity_center(prof) == pytest.approx(exact, rel=1e-10)
 
 
 def line_profile():
@@ -303,10 +322,14 @@ def test_capacity_center_positive_limit():
     # the horizon of a positive mass has capacity m; phi = 1 + C f over a
     # base with f -> inf has capacity function f/phi -> 1/C at the center
     for m in (0.3, 1.0, 2.0):
-        assert capacity_center(ConformalSchwarzschildProfile(m)) == pytest.approx(m, rel=1e-9)
+        assert capacity_center(ConformalSchwarzschildProfile(m)) == pytest.approx(m, rel=1e-12)
     prof = ConformalProfile(ConformalSchwarzschildProfile(-1.0), 1.0)
     assert prof.r_min == 0.0
     assert capacity_center(prof) == pytest.approx(1.0, rel=1e-9)
+    # small C: f/phi reaches 1/C only far inside, below any fixed sample radius
+    for C in (0.05, 0.1, 0.3):
+        prof = ConformalProfile(ConformalSchwarzschildProfile(-1.0), C)
+        assert capacity_center(prof) == pytest.approx(C, rel=1e-8)
 
 
 def test_capacity_center_needs_center_at_zero():
