@@ -12,7 +12,8 @@ and for m* < 0 the critical curves are
 Caustics are their images under the full lens map.  Cusps are the
 angles where, additionally, the directional derivative of the map along
 Z = 2i dJ/dconj(z) vanishes; writing w = 1 - gamma* e^{-i phi}, they are
-the angles with w^3 purely real and of sign opposite to eps.
+the angles with w^3 real and of sign opposite to eps.  Both the closed
+form and its numerical check read w^3 from w itself (``_w3``).
 """
 
 from __future__ import annotations
@@ -136,27 +137,13 @@ def caustic_curve(reduced: ReducedLens, model: LensModel, n_samples: int) -> np.
                              names="phi,z_plus,z_minus,gap,y_plus,y_minus")
 
 
-def re_w3(phi, gstar: float):
-    """Re(w^3) for w = 1 - gamma* e^{-i phi}, elementwise in phi.
+def _w3(phi, gstar: float):
+    """w^3 for w = 1 - gamma* e^{-i phi}, complex and elementwise in phi.
 
-    Its sign decides which eps hosts the cusp.
+    Cusps sit where Im(w^3) = 0; there |Re(w^3)| = |w|^3, so the sign of
+    Re(w^3) that picks eps is never a rounding call (|w| >= |1 - gamma*|).
     """
-    c = np.cos(phi)
-    g = gstar
-    return -4.0 * g ** 3 * c ** 3 + 6.0 * g * g * c * c + (3.0 * g ** 3 - 3.0 * g) * c \
-        + 1.0 - 3.0 * g * g
-
-
-def im_w3(phi, gstar: float):
-    """Im(w^3) = gamma* sin(phi) [4 gamma*^2 cos^2 phi - 6 gamma* cos phi + 3 - gamma*^2].
-
-    Elementwise in phi.  Its zeros are the candidate cusp angles.  (The
-    constant term is 3 - gamma*^2; the variant with 4 - gamma*^2 does not
-    reproduce the closed-form roots and is kept out deliberately.)
-    """
-    c = np.cos(phi)
-    g = gstar
-    return g * np.sin(phi) * (4.0 * g * g * c * c - 6.0 * g * c + 3.0 - g * g)
+    return (1.0 - gstar * np.exp(-1j * np.asarray(phi))) ** 3
 
 
 def shear_regime(gstar: float) -> str:
@@ -171,7 +158,13 @@ def shear_regime(gstar: float) -> str:
 
 
 def _candidate_angles(gstar: float) -> list[tuple[float, str]]:
-    """The root list phi1..phi6; phi3..phi6 exist only for gamma*^2 >= 3/4."""
+    """The zeros phi1..phi6 of Im(w^3); phi3..phi6 exist only for gamma*^2 >= 3/4.
+
+    Im(w^3) = gamma* sin(phi) [4 gamma*^2 cos^2 phi - 6 gamma* cos phi + 3 - gamma*^2]:
+    sin(phi) gives phi1 = 0 and phi2 = pi, the quadratic in cos(phi) the
+    rest.  (Its constant term is 3 - gamma*^2; a variant with 4 - gamma*^2
+    has no real roots for 3/4 <= gamma*^2 < 1, where the cusp table needs four.)
+    """
     roots = [(0.0, "phi1"), (math.pi, "phi2")]
     disc = 4.0 * gstar * gstar - 3.0
     if gstar > 0.0 and disc >= 0.0:
@@ -220,7 +213,7 @@ def cusp_angles(reduced: ReducedLens) -> CuspSet:
     g = reduced.gamma_star
     regime = shear_regime(g)  # raises on gamma* = 1
     selected = [(phi, lab) for phi, lab in _candidate_angles(g)
-                if g > 0.0 and re_w3(phi, g) * reduced.eps_kappa < 0.0]
+                if g > 0.0 and _w3(phi, g).real * reduced.eps_kappa < 0.0]
     model = _equivalent_model(reduced)
     zs = _z_plus(np.array([phi for phi, _ in selected]), reduced).tolist()
     for (_, lab), z in zip(selected, zs):
@@ -231,7 +224,7 @@ def cusp_angles(reduced: ReducedLens) -> CuspSet:
 
 
 def scan_cusps(reduced: ReducedLens) -> list[float]:
-    """Locate cusps from the numerical condition alone (no closed form).
+    """Locate cusps from w^3 alone (no closed form, no factorization).
 
     Evaluates Im(w^3) on SCAN_RESOLUTION uniform angles in one array
     call, bisects all sign-change brackets together, and keeps the angles
@@ -243,18 +236,18 @@ def scan_cusps(reduced: ReducedLens) -> list[float]:
         return []
     two_pi = 2.0 * math.pi
     phis = np.linspace(0.0, two_pi, SCAN_RESOLUTION, endpoint=False)
-    vals = im_w3(phis, g)
+    vals = _w3(phis, g).imag
     bracket = vals * np.roll(vals, -1) < 0.0
     lo, flo = phis[bracket], vals[bracket]
     hi = lo + two_pi / SCAN_RESOLUTION
     while (hi - lo > 1e-13 * np.maximum(1.0, hi)).any():
         mid = 0.5 * (lo + hi)
-        fmid = im_w3(mid, g)
+        fmid = _w3(mid, g).imag
         left = flo * fmid <= 0.0  # the sign change lies in [lo, mid]
         lo, flo = np.where(left, lo, mid), np.where(left, flo, fmid)
         hi = np.where(left, mid, hi)
     roots = np.sort(np.concatenate((phis[vals == 0.0], 0.5 * (lo + hi) % two_pi)))
-    re = re_w3(roots, g)
+    re = _w3(roots, g).real
     found: list[float] = []
     for root in roots[(re != 0.0) & ((re > 0) != (reduced.eps_kappa > 0))].tolist():
         if all(abs(root - r) > 1e-6 and abs(abs(root - r) - two_pi) > 1e-6

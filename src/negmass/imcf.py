@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DomainError, NumericalError
 # spherical first: it compiles before numerics loads numpy.polynomial, which
 # keeps a cold import without cached bytecode 0.5 MB lower in peak RSS
-from .spherical import RadialProfile, hawking_mass_sphere, radial_capacity, scalar_curvature
+from .spherical import RadialProfile, _hawking, radial_capacity, scalar_curvature
 from .numerics import _newton
 
 GEROCH_TOL = 1e-8  # absolute slack absorbing rounding noise in the Hawking masses
@@ -118,9 +118,8 @@ def imcf_flow(profile: RadialProfile, r0: float, t_end: float) -> FlowTrace:
     if (dA[:-1] <= 0.0).any():
         raise NumericalError("A' <= 0 inside the flow: the profile has a feature "
                              "narrower than the scan resolves")
-    hawking = hawking_mass_sphere(profile, r)
     states = tuple(FlowState(*vals) for vals in
-                   zip(t.tolist(), r.tolist(), A.tolist(), hawking.tolist(),
+                   zip(t.tolist(), r.tolist(), A.tolist(), _hawking(A, dA).tolist(),
                        (dA / A).tolist()))
     return FlowTrace(states, halted)
 
@@ -281,9 +280,9 @@ def verify_capacity_bound(profile: RadialProfile, r0: float) -> CapacityCheck:
     A'(r0) > 0 (in the radial class such spheres are their own
     minimizing hulls).
     """
-    if profile.d_area(r0) <= 0.0:
+    A, dA, _ = profile.eval(r0)
+    if dA <= 0.0:
         raise DomainError("bound check needs A' > 0 at r0")
     cap = radial_capacity(profile, r0)
-    bound = capacity_energy_bound(profile.area(r0),
-                                  hawking_mass_sphere(profile, r0))
+    bound = capacity_energy_bound(A, _hawking(A, dA))
     return CapacityCheck(cap, bound, cap <= bound)

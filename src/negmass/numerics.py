@@ -55,12 +55,15 @@ def gauss_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return leggauss(n)
 
 
-def gauss_panel(f, lo: float, hi: float, n: int = 32) -> float:
-    """Fixed-order Gauss quadrature of a vectorized integrand on [lo, hi]."""
+def gauss_panel(f, lo, hi, n: int):
+    """Order-n Gauss quadrature of a vectorized integrand on [lo, hi].
+
+    Float ends give one panel and a float.  (P, 1) arrays of ends give P
+    panels from one call of f on a (P, n) array, and their P sums.
+    """
     x, w = gauss_nodes(n)
-    mid = 0.5 * (hi + lo)
     half = 0.5 * (hi - lo)
-    return half * float(np.sum(w * f(mid + half * x)))
+    return _floats(np.sum(half * w * f(0.5 * (hi + lo) + half * x), axis=-1))[0]
 
 
 def _power_tail(u, g) -> float:
@@ -103,16 +106,12 @@ def end_integral(h, b: float, stop: float = 0.0) -> float:
     edges = b * 2.0 ** -np.arange(octaves + 1.0)
     lo, hi = edges[1:, None], edges[:-1, None]
 
-    def panels(n):
-        x, w = gauss_nodes(n)
-        return np.sum(0.5 * (hi - lo) * w * h(0.5 * (hi + lo) + 0.5 * (hi - lo) * x), axis=1)
-
     total, scale = 0.0, None
     while lo.size:
         if lo.size > 4096:
             raise NonConvergenceError("end integral: Gauss orders disagree",
                                       samples=[total, scale])
-        coarse, fine = panels(_END_ORDER), panels(2 * _END_ORDER)
+        coarse, fine = (gauss_panel(h, lo, hi, n) for n in (_END_ORDER, 2 * _END_ORDER))
         if scale is None:
             scale = abs(float(fine.sum()))
         bad = np.abs(fine - coarse) > TAIL_TOL * np.maximum(scale * (hi - lo)[:, 0] / b,

@@ -383,16 +383,14 @@ def scalar_curvature(profile: RadialProfile, r):
     return (16.0 * math.pi * A + Ap * Ap - 4.0 * A * App) / (2.0 * A * A)
 
 
+def _hawking(A, Ap):
+    """m_H = sqrt(A / 16 pi) (1 - A'^2 / (16 pi A)): a float for a float A."""
+    return _floats(np.sqrt(A / (16.0 * math.pi)) * (1.0 - Ap * Ap / (16.0 * math.pi * A)))[0]
+
+
 def hawking_mass_sphere(profile: RadialProfile, r):
-    """m_H(S_r) = sqrt(A / 16 pi) (1 - A'^2 / (16 pi A))."""
-    A, Ap, _ = profile.eval(r)
-    return np.sqrt(A / (16.0 * math.pi)) * (1.0 - Ap * Ap / (16.0 * math.pi * A))
-
-
-def mean_curvature(profile: RadialProfile, r):
-    """H = A'/A of the coordinate sphere at r."""
-    A, Ap, _ = profile.eval(r)
-    return Ap / A
+    """Hawking mass m_H(S_r) of the coordinate sphere at r."""
+    return _hawking(*profile.eval(r)[:2])
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +421,7 @@ def adm_mass(profile: RadialProfile, r0: float = 1e3) -> float:
 def regular_mass_integrand(profile: RadialProfile, r):
     """-(1/64 pi^{3/2}) A'^2 / sqrt(A); its r -> 0 limit is the central mass."""
     A, Ap, _ = profile.eval(r)
-    return -(Ap * Ap) / (64.0 * math.pi ** 1.5 * np.sqrt(A))
+    return _floats(-(Ap * Ap) / (64.0 * math.pi ** 1.5 * np.sqrt(A)))[0]
 
 
 def regular_mass(profile: RadialProfile, eps: float = 1e-6) -> float:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SingularPointError, ValidationError
-from .numerics import _floats, dyadic_gauss, gauss_nodes
+from .numerics import _floats, dyadic_gauss, gauss_panel
 
 SQRT33_ENDPOINT = (math.sqrt(33.0) - 3.0) / 4.0  # positive root of (2/3)x^2 + x - 1
 # smallest rho/a the rod quadratures accept: below it the dyadic panels
@@ -165,20 +165,18 @@ def adm_flux(zv: ZVModel, radius: float) -> float:
 
     Evaluated on the Euclidean sphere of the given radius (which must
     enclose the rod); lam is flat-harmonic, so the value is independent
-    of the radius.  Axisymmetry reduces the integral to one polar
-    Gauss-Legendre sweep of 64 nodes.
+    of the radius.  Axisymmetry reduces the integral to 2 pi times one
+    polar Gauss-Legendre panel of 64 nodes.
     """
     if not zv.a < radius < math.inf:
         raise DomainError("flux sphere must enclose the rod: finite radius > a")
-    x, w = gauss_nodes(64)
-    theta = 0.5 * math.pi * (x + 1.0)
-    wt = 0.5 * math.pi * w
-    rho = radius * np.sin(theta)
-    z = radius * np.cos(theta)
-    _, _, lam_rho, lam_z, _, _ = zv_fields(zv, rho, z)
-    radial = np.sin(theta) * lam_rho + np.cos(theta) * lam_z
-    integral = 2.0 * math.pi * float(np.sum(wt * radial * radius ** 2 * np.sin(theta)))
-    return integral / (4.0 * math.pi)
+
+    def flux(theta):
+        sin, cos = np.sin(theta), np.cos(theta)
+        _, _, lam_rho, lam_z, _, _ = zv_fields(zv, radius * sin, radius * cos)
+        return (sin * lam_rho + cos * lam_z) * radius ** 2 * sin
+
+    return 0.5 * gauss_panel(flux, 0.0, math.pi, 64)
 
 
 def _layer_width(zv: ZVModel, rho: float) -> float:

@@ -64,6 +64,14 @@ def test_gauss_panel_matches_closed_form():
     f = lambda x: np.exp(-x) * np.sin(3 * x)
     exact = (3.0 - math.exp(-2.0) * (math.sin(6.0) + 3.0 * math.cos(6.0))) / 10.0
     assert gauss_panel(f, 0.0, 2.0, 32) == pytest.approx(exact, abs=1e-12)
+    assert type(gauss_panel(f, 0.0, 2.0, 32)) is float
+    # (P, 1) ends: P panels in one call, each as its own float call gives it
+    edges = np.linspace(0.0, 2.0, 5)
+    sums = gauss_panel(f, edges[:-1, None], edges[1:, None], 32)
+    assert sums.shape == (4,)
+    assert sums.tolist() == pytest.approx(
+        [gauss_panel(f, a, b, 32) for a, b in zip(edges[:-1], edges[1:])], rel=1e-15)
+    assert sums.sum() == pytest.approx(exact, abs=1e-12)
 
 
 def test_dyadic_gauss_boundary_layer():

@@ -25,14 +25,20 @@ def _public_definitions():
 
 
 def _names_used_in_src():
-    # loads and attribute accesses only: a definition, an import or a
-    # docstring mention is not a use
+    # a use is a bare-name load, or an attribute loaded from a module that
+    # the file binds with `from . import mod [as alias]`: a definition, an
+    # import, a docstring mention or a same-named field elsewhere is not
     used = set()
     for path in SRC.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.level == 1
+                   and node.module is None for alias in node.names}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                  and isinstance(node.value, ast.Name) and node.value.id in modules):
                 used.add(node.attr)
     return used
 

@@ -13,7 +13,7 @@ from negmass.spherical import (ConformalProfile, ConformalSchwarzschildProfile,
                                bump_profile, capacity_center, classify_power_law,
                                hawking_mass_sphere, parse_profile_file,
                                radial_capacity, radial_capacity_function, regular_mass,
-                               scalar_curvature)
+                               regular_mass_integrand, scalar_curvature)
 
 K_SCHW = 16.0 * math.pi * (3.0 / 4.0) ** (4.0 / 3.0)  # A ~ k s^{4/3} for |m| = 1
 
@@ -52,6 +52,10 @@ def test_eval_array_matches_scalar():
             assert all(type(v) is float for v in scalar)
             assert [a[i] for a in arrays] == pytest.approx(scalar, rel=1e-13), prof
             assert (prof.area(r), prof.d_area(r), prof.d2_area(r)) == scalar
+            assert all(type(fn(prof, r)) is float
+                       for fn in (hawking_mass_sphere, regular_mass_integrand))
+        assert all(fn(prof, grid).shape == grid.shape
+                   for fn in (hawking_mass_sphere, regular_mass_integrand))
         square = prof.eval(np.vstack((grid, grid)))
         assert all(v.shape == (2, grid.size) for v in square)
         assert square[0][1] == pytest.approx(arrays[0], rel=1e-13)
