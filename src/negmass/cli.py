@@ -225,23 +225,27 @@ def _cmd_lens_survey(args):
                  equal_aspect=True, x_label="y1", y_label="y2")
 
 
+def _or_na(errors, fn, *args):
+    """fn(*args), or None (an NA cell) when it raises one of ``errors``."""
+    try:
+        return fn(*args)
+    except errors:
+        return None
+
+
 def _cmd_spherical_report(args):
     profile = _profile_from_args(args)
     r0 = args.r0
-    rows = [["kind", profile.kind]]
-    try:
-        rows.append(["adm", sph.adm_mass(profile)])
-    except (NonConvergenceError, DomainError):
-        rows.append(["adm", None])
-    center = profile.r_min == 0.0  # a singular end at r = 0 to take limits at
-    rows.append(["regular_mass", sph.regular_mass(profile) if center else None])
-    rows.append(["capacity_center", sph.capacity_center(profile) if center else None])
-    try:
-        rows.append(["capacity_r0", sph.radial_capacity(profile, r0)])
-    except DomainError:  # bounded domain: no tail integral
-        rows.append(["capacity_r0", None])
-    rows.append(["hawking_r0", sph.hawking_mass_sphere(profile, r0)])
-    rows.append(["scalar_curvature_r0", sph.scalar_curvature(profile, r0)])
+    # NA where a limit does not settle, or its end is not in the profile:
+    # no singular end at r = 0, or no tail on a bounded domain
+    limit = (NonConvergenceError, DomainError)
+    rows = [["kind", profile.kind],
+            ["adm", _or_na(limit, sph.adm_mass, profile)],
+            ["regular_mass", _or_na(limit, sph.regular_mass, profile)],
+            ["capacity_center", _or_na(DomainError, sph.capacity_center, profile)],
+            ["capacity_r0", _or_na(DomainError, sph.radial_capacity, profile, r0)],
+            ["hawking_r0", sph.hawking_mass_sphere(profile, r0)],
+            ["scalar_curvature_r0", sph.scalar_curvature(profile, r0)]]
     write_csv(args.out, ["quantity", "value"], rows)
     if args.svg:
         rs = np.geomspace(max(profile.r_min * 1.01, 1e-3), 100.0, 200)

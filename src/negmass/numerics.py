@@ -2,7 +2,9 @@
 
 Everything here is deterministic and dependency-light.  Radial integrals
 into a singular end all run on ``end_integral``: the capacity tail in
-u = 1/r and its head in r.
+u = 1/r and its head in r.  Both mass limits, ADM (h = 1/r) and central
+(h = r), run on ``ladder_limit``: four samples a factor 2 apart, one
+rule for settled, steady and divergent ladders, and an error otherwise.
 """
 
 from __future__ import annotations
@@ -168,69 +170,40 @@ def dyadic_gauss(f, lo: float, hi: float, inner: float) -> float:
     return fine
 
 
-def richardson_decay(values):
-    """Extrapolate f(R), f(2R), f(4R), f(8R) to R -> inf.
+def ladder_limit(values, floor: float, order: int | None = None) -> float:
+    """Limit as h -> 0 of a ladder f(h), f(h/2), f(h/4), f(h/8).
 
-    Assumes an expansion f = L + a/R + b/R^2 + c/R^3 and eliminates the
-    three correction orders in turn.  Raises if the table does not
-    contract (non-decaying tail).
-    """
-    t = [list(values)]
-    for order in (1, 2, 3):
-        fac = 2.0 ** order
-        prev = t[-1]
-        t.append([(fac * prev[i + 1] - prev[i]) / (fac - 1.0)
-                  for i in range(len(prev) - 1)])
-    limit = t[-1][0]
-    spread = abs(t[-2][1] - t[-2][0])
-    base = max(abs(values[-1] - values[0]), 1e-30)
-    if spread > 0.5 * base + 1e-9 * max(1.0, abs(limit)):
-        raise NonConvergenceError(
-            "limit extrapolation did not contract", samples=values)
-    return limit
-
-
-def limit_smallstep(values):
-    """Extrapolate f(eps), f(eps/2), f(eps/4), f(eps/8) to eps -> 0 (for regular_mass).
-
-    The leading correction exponent is unknown (profiles often carry
-    fractional powers), so it is estimated from successive difference
-    ratios before each elimination round.  Returns +/-inf when the
-    samples run away: either growing by more than a factor 2 step over
-    step, or with non-shrinking differences of one sign (slow power-law
-    divergence).
+    Settled: every step is within ``floor``, and no verdict is given.
+    Steady: the steps keep one sign, their two ratios rho agree to
+    0.1 |1 - rho|, and rho is 2^-order to that tolerance for a known
+    order; for an unknown one, the second differences exceed 1e3 floor,
+    so that rho is told apart from 1.  Any other ladder raises
+    NonConvergenceError with the samples attached.  A steady rho > 1
+    diverges: +-inf with the sign of the steps.  Otherwise the orders
+    1, 2 and 3 are eliminated (Richardson), or for an unknown order up
+    to two rounds at the order read from the last three samples, each
+    stopping once their steps are within ``floor`` or do not contract.
     """
     v = [float(x) for x in values]
-    diffs = [v[i + 1] - v[i] for i in range(len(v) - 1)]
-    if all(d == 0.0 for d in diffs):
-        return v[-1]
-
-    growth = [abs(v[i + 1]) > 2.0 * abs(v[i]) for i in range(len(v) - 1)]
-    slow = (all(abs(diffs[i + 1]) >= 0.95 * abs(diffs[i])
-                for i in range(len(diffs) - 1))
-            and all(d * diffs[-1] > 0 for d in diffs)
-            and abs(diffs[-1]) > 1e-12 * max(1.0, abs(v[-1])))
-    if all(growth) or slow:
-        return math.inf if v[-1] > v[0] else -math.inf
-
-    osc = sum(1 for i in range(len(diffs) - 1) if diffs[i] * diffs[i + 1] < 0)
-    if osc >= 2 and abs(diffs[-1]) > 1e-10 * max(1.0, abs(v[-1])):
-        raise NonConvergenceError("oscillatory non-convergence", samples=values)
-
-    for _ in range(2):
-        if len(v) < 3:
-            break
-        d0 = v[-2] - v[-3]
-        d1 = v[-1] - v[-2]
-        if d1 == 0.0 or d0 == 0.0:
-            v = v[1:]
-            continue
-        ratio = d1 / d0
-        if not 0.0 < ratio < 0.95:
-            # difference ratio not contracting: take the finest sample
-            v = v[1:]
-            continue
-        q = -math.log2(ratio)
-        fac = 2.0 ** q
+    d = [b - a for a, b in zip(v, v[1:])]
+    if not all(abs(s) <= floor for s in d):  # a NaN step is not settled
+        steady = all(s * d[0] > 0.0 for s in d)
+        if steady:
+            rho0, rho = d[1] / d[0], d[2] / d[1]
+            tol = 0.1 * abs(1.0 - rho)
+            steady = abs(rho0 - rho) <= tol and (
+                abs(rho - 2.0 ** -order) <= tol if order else
+                min(abs(d[1] - d[0]), abs(d[2] - d[1])) > 1e3 * floor)
+        if not steady:
+            raise NonConvergenceError("ladder limit is not steady", samples=v)
+        if rho > 1.0:
+            return math.copysign(math.inf, d[0])
+    for k in (1, 2, 3) if order else (None, None):
+        if k is None:
+            d0, d1 = v[-2] - v[-3], v[-1] - v[-2]
+            if max(abs(d0), abs(d1)) <= floor or d0 * d1 <= 0.0 or abs(d1) >= abs(d0):
+                break
+            k = -math.log2(d1 / d0)
+        fac = 2.0 ** k
         v = [(fac * v[i + 1] - v[i]) / (fac - 1.0) for i in range(len(v) - 1)]
     return v[-1]

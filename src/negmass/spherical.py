@@ -27,7 +27,8 @@ returns (A, A', A''), each broadcastable to the shape of r.
 ``area``, ``d_area`` and ``d2_area`` are one-line accessors on the base
 class.  The pointwise functionals make one ``eval`` call and accept
 arrays as well.  The ADM mass is the large-r limit of the
-coordinate-sphere Hawking masses, extracted by Richardson extrapolation.
+coordinate-sphere Hawking masses, and the central mass the small-r limit
+of the mass integrand; both are ``numerics.ladder_limit`` of four radii.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from numpy.polynomial.legendre import legint, legvander
 
 from .errors import DomainError, NonConvergenceError, NumericalError, ValidationError
 from .numerics import (_floats, _newton, _power_tail, end_integral, gauss_nodes,
-                       limit_smallstep, richardson_decay, tail_integral)
+                       ladder_limit, tail_integral)
 
 FOUR_PI = 4.0 * math.pi
 MINUS_INFINITY = -math.inf
@@ -211,9 +212,11 @@ class PowerLawProfile(RadialProfile):
         super().__init__(0.0, math.inf)
         self.k = float(k)
         self.p = float(p)
-        if p == 2.0:
-            self.r_glue = 1.0
-        else:
+        self.r_glue = 1.0
+        if p != 2.0:
+            # (k / 4 pi)^(1/(2 - p)) under- or overflows as p -> 2: checked in logs
+            if not abs(math.log2(self.k) - math.log2(FOUR_PI)) <= 500.0 * abs(2.0 - self.p):
+                raise DomainError(f"glue radius outside [2^-500, 2^500]: k = {k}, p = {p}")
             self.r_glue = (self.k / FOUR_PI) ** (1.0 / (2.0 - self.p))
 
     def eval(self, r):
@@ -398,24 +401,20 @@ def hawking_mass_sphere(profile: RadialProfile, r):
 
 
 def adm_mass(profile: RadialProfile, r0: float = 1e3) -> float:
-    """ADM mass as the Richardson limit of m_H over r in {r0, 2r0, 4r0, 8r0}.
+    """ADM mass: ``ladder_limit`` of m_H over r in {r0, 2r0, 4r0, 8r0}, order 1.
 
-    Raises NonConvergenceError when the Hawking masses do not settle
-    (the tail is not asymptotically flat).
+    Raises NonConvergenceError when the Hawking masses do not settle as
+    m + a/r + ... (the tail is not asymptotically flat).
     """
     rs = r0 * 2.0 ** np.arange(4)
     if rs[-1] >= profile.r_max:
         raise DomainError("extrapolation radii exceed the profile domain")
     vals = hawking_mass_sphere(profile, rs).tolist()
-    diffs = [abs(vals[i + 1] - vals[i]) for i in range(3)]
-    scale = max(1.0, max(abs(v) for v in vals))
     # m_H(r) cancels to O(m/r) inside sqrt(A/16 pi) ~ r/2, so it carries
     # rounding noise ~ eps r; differences below that do not show a tail
-    noise = max(1e-12 * scale, 16.0 * np.finfo(float).eps * rs[-1])
-    if diffs[0] > noise and diffs[-1] > 0.75 * diffs[0]:
-        raise NonConvergenceError("non-flat tail: Hawking masses not settling",
-                                  samples=vals)
-    return richardson_decay(vals)
+    noise = max(1e-12 * max(1.0, max(abs(v) for v in vals)),
+                16.0 * np.finfo(float).eps * rs[-1])
+    return ladder_limit(vals, noise, order=1)
 
 
 def regular_mass_integrand(profile: RadialProfile, r):
@@ -424,18 +423,27 @@ def regular_mass_integrand(profile: RadialProfile, r):
     return _floats(-(Ap * Ap) / (64.0 * math.pi ** 1.5 * np.sqrt(A)))[0]
 
 
-def regular_mass(profile: RadialProfile, eps: float = 1e-6) -> float:
+def regular_mass(profile: RadialProfile) -> float:
     """Mass of the central singularity: lim_{r->0} of the mass integrand.
 
-    Sampled at eps, eps/2, eps/4, eps/8 and extrapolated with an
-    estimated leading exponent (profiles typically carry fractional
-    powers of r).  Monotone divergence returns the -inf marker;
-    oscillatory non-convergence raises with the samples attached.
+    ``ladder_limit`` of the integrand at r = h, h/2, h/4, h/8 from
+    h = 1e-6, with the leading exponent estimated (profiles typically
+    carry fractional powers of r).  Divergence returns the -inf marker.
+    A ladder that is not steady (say, one straddling a profile's blend)
+    moves down by 2^-4, at most ten times and never below ``inner_edge``;
+    then the NonConvergenceError is raised with the samples attached.
     """
     if profile.r_min != 0.0:
         raise DomainError("regular mass needs the singular end at r = 0")
-    vals = regular_mass_integrand(profile, eps / 2.0 ** np.arange(4)).tolist()
-    return limit_smallstep(vals)
+    h = 1e-6
+    for moves in range(11):
+        vals = regular_mass_integrand(profile, h / 2.0 ** np.arange(4)).tolist()
+        try:
+            return ladder_limit(vals, 1e-12 * max(abs(v) for v in vals))
+        except NonConvergenceError:
+            h /= 16.0
+            if moves == 10 or h / 8.0 < profile.inner_edge:
+                raise
 
 
 # ---------------------------------------------------------------------------

@@ -373,6 +373,13 @@ def test_cusps_pass_numerical_condition_in_full_models():
 @example(gstar=0.9, eps=-1)
 @example(gstar=1.5, eps=1)
 @example(gstar=1.5, eps=-1)
+# just above gamma* = sqrt(3)/2 the phi3/phi4 pair shares a grid cell
+@example(gstar=math.sqrt(3.0) / 2.0 + 1e-5, eps=1)
+@example(gstar=math.sqrt(3.0) / 2.0 + 1e-7, eps=1)
+@example(gstar=math.sqrt(3.0) / 2.0 + 1e-8, eps=1)
+@example(gstar=math.sqrt(3.0) / 2.0 + 1e-9, eps=1)
+@example(gstar=math.sqrt(3.0) / 2.0 + 1e-10, eps=1)
+@example(gstar=math.sqrt(3.0) / 2.0 + 1e-12, eps=1)
 def test_scan_matches_closed_form(gstar, eps):
     red = ReducedLens(-1.0, gstar, eps)
     closed = [phi for phi, _ in cusp_angles(red).angles]

@@ -217,6 +217,15 @@ def test_cli_spherical_report_power_law(tmp_path):
     assert table["capacity_center"] > 0.0
 
 
+def test_cli_spherical_report_unsteady_regular_mass_is_na(tmp_path):
+    # p = 4/3 + 7e-6: the mass ladder cannot tell r^(3p/2 - 2) from a constant
+    out = tmp_path / "r.csv"
+    assert run(["spherical-report", "--profile", "power-law", "--k", "3",
+                "--p", "1.33334", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert {r[0]: r[1] for r in rows}["regular_mass"] is None
+
+
 def test_cli_tabulated_profile(tmp_path):
     prof = tmp_path / "prof.csv"
     rs = np.geomspace(0.05, 200.0, 500)

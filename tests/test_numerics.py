@@ -5,7 +5,7 @@ import pytest
 
 from negmass.errors import NonConvergenceError, NumericalError
 from negmass.numerics import (_power_tail, dyadic_gauss, end_integral, gauss_panel,
-                              limit_smallstep, richardson_decay, tail_integral)
+                              ladder_limit, tail_integral)
 
 
 def test_tail_integral_inverse_square():
@@ -86,10 +86,15 @@ def test_dyadic_gauss_boundary_layer():
     assert val == pytest.approx(exact, rel=1e-9)
 
 
+def _noise(vals):
+    """The floor ``regular_mass`` gives its ladders: 1e-12 of the largest sample."""
+    return 1e-12 * max(abs(v) for v in vals)
+
+
 def test_richardson_decay_recovers_limit():
     f = lambda R: 5.0 - 3.0 / R + 0.7 / R ** 2 - 0.2 / R ** 3
     vals = [f(100.0 * 2 ** k) for k in range(4)]
-    assert richardson_decay(vals) == pytest.approx(5.0, abs=1e-12)
+    assert ladder_limit(vals, _noise(vals), order=1) == pytest.approx(5.0, abs=1e-12)
 
 
 def test_limit_smallstep_fractional_order():
@@ -97,28 +102,34 @@ def test_limit_smallstep_fractional_order():
     # beats the raw finest sample (error 1e-3) by two orders
     f = lambda e: -1.0 + 0.8 * e ** (2.0 / 3.0) + 0.1 * e
     vals = [f(1e-3 / 2 ** k) for k in range(4)]
-    assert limit_smallstep(vals) == pytest.approx(-1.0, abs=1e-5)
+    assert ladder_limit(vals, _noise(vals)) == pytest.approx(-1.0, abs=1e-5)
 
 
 def test_limit_smallstep_pure_power():
     f = lambda e: -1.0 + 0.8 * e ** (2.0 / 3.0)
     vals = [f(1e-3 / 2 ** k) for k in range(4)]
-    assert limit_smallstep(vals) == pytest.approx(-1.0, abs=1e-9)
+    assert ladder_limit(vals, _noise(vals)) == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_limit_smallstep_divergence_marker():
     vals = [-(2.0 ** (1.25 * k)) for k in range(4)]  # grows by 2^1.25 each halving
-    assert limit_smallstep(vals) == -math.inf
+    assert ladder_limit(vals, _noise(vals)) == -math.inf
 
 
 def test_limit_smallstep_slow_divergence():
     # grows only by 2^0.2 per halving: the factor-2 rule alone would miss it
     vals = [-(2.0 ** (0.2 * k)) for k in range(4)]
-    assert limit_smallstep(vals) == -math.inf
+    assert ladder_limit(vals, _noise(vals)) == -math.inf
 
 
 def test_limit_smallstep_oscillation_raises():
     with pytest.raises(NonConvergenceError) as err:
-        limit_smallstep([1.0, -1.0, 1.0, -1.0])
+        ladder_limit([1.0, -1.0, 1.0, -1.0], 1e-12)
     assert len(err.value.samples) == 4
 
+
+def test_ladder_limit_rejects_nan():
+    # a NaN step is neither settled nor steady
+    for vals in ([1.0, math.nan, 1.0, 1.0], [math.nan] * 4):
+        with pytest.raises(NonConvergenceError):
+            ladder_limit(vals, 1e-12)
