@@ -1,10 +1,11 @@
 """Shared numerical kernels: quadrature, bracketed Newton, limit extraction.
 
-Everything here is deterministic and dependency-light.  Radial integrals
-into a singular end all run on ``end_integral``: the capacity tail in
-u = 1/r and its head in r.  Both mass limits, ADM (h = 1/r) and central
-(h = r), run on ``ladder_limit``: four samples a factor 2 apart, one
-rule for settled, steady and divergent ladders, and an error otherwise.
+Everything here is deterministic and dependency-light.  Checked
+quadrature has one accept/halve loop, ``checked_panels``, which serves
+``end_integral`` and each spherical profile's table of 4 pi/A.  Both
+mass limits, ADM (h = 1/r) and central (h = r), run on
+``ladder_limit``: four samples a factor 2 apart, one rule for settled,
+steady and divergent ladders, and an error otherwise.
 """
 
 from __future__ import annotations
@@ -86,54 +87,45 @@ def _power_tail(u, g) -> float:
     return g0 * float(u[0]) / (1.0 - q)
 
 
-TAIL_TOL = 1e-10  # relative agreement required of the two Gauss orders
-_END_ORDER = 24
+TAIL_TOL = 1e-13  # relative agreement required of the two Gauss orders
+
+
+def checked_panels(h, lo, hi):
+    """Panels covering [lo[i], hi[i]], halved until Gauss orders 24 and 48 of h
+    agree to TAIL_TOL of their value (which resolves kinks), one call of h per
+    round for both orders.  Returns the accepted panels in order: lo, hi, h at the
+    order-24 nodes and the order-48 sums.  NonConvergenceError past 4096.
+    """
+    (x, w), (x2, w2) = gauss_nodes(24), gauss_nodes(48)
+    lo, hi = np.reshape(lo, (-1, 1)), np.reshape(hi, (-1, 1))
+    done = []
+    while lo.size:
+        if lo.size > 4096:
+            raise NonConvergenceError("Gauss orders disagree on 4096 panels", lo[:8, 0])
+        half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+        g = h(mid + half * np.hstack((x, x2)))
+        fine = np.sum(half * w2 * g[:, 24:], axis=-1)
+        ok = np.abs(fine - np.sum(half * w * g[:, :24], axis=-1)) <= TAIL_TOL * np.abs(fine)
+        done.append((lo[ok, 0], hi[ok, 0], g[ok, :24], fine[ok]))
+        lo, hi = np.vstack((lo[~ok], mid[~ok])), np.vstack((mid[~ok], hi[~ok]))
+    lo, hi, g, fine = (np.concatenate(c) for c in zip(*done))
+    order = np.argsort(lo)
+    return lo[order], hi[order], g[order], fine[order]
 
 
 def end_integral(h, b: float, stop: float = 0.0) -> float:
     """int_0^b h(u) du for a vectorized h that may be singular at u = 0.
 
-    Octave panels [b 2^-k-1, b 2^-k] shrink toward 0 down to 2^-40 min(1, b),
-    or to ``stop`` (the least u where h is defined) if larger.  Each gets
-    Gauss orders n and 2n, one call of h per order for all panels, and is
-    halved while they differ by more than TAIL_TOL times the larger of its
-    width's share of the total and its own value, which resolves kinks.
-    ``_power_tail`` closes the sliver below: exact for h ~ u^-q, +-inf for
-    q >= 1 - 1e-6.  Raises NonConvergenceError past 4096 panels.
+    ``checked_panels`` on the octaves [b 2^-k-1, b 2^-k] down to 2^-40 min(1, b)
+    or ``stop`` (the least u where h is defined), and ``_power_tail`` below:
+    exact for h ~ u^-q, +-inf for q >= 1 - 1e-6.
     """
     far = max(2.0 ** -40 * min(1.0, b), stop)
-    octaves = math.floor(math.log2(b / far))
-    if octaves < 1:
-        raise NumericalError("end integral needs b >= 2 stop")
-    edges = b * 2.0 ** -np.arange(octaves + 1.0)
-    lo, hi = edges[1:, None], edges[:-1, None]
-
-    total, scale = 0.0, None
-    while lo.size:
-        if lo.size > 4096:
-            raise NonConvergenceError("end integral: Gauss orders disagree",
-                                      samples=[total, scale])
-        coarse, fine = (gauss_panel(h, lo, hi, n) for n in (_END_ORDER, 2 * _END_ORDER))
-        if scale is None:
-            scale = abs(float(fine.sum()))
-        bad = np.abs(fine - coarse) > TAIL_TOL * np.maximum(scale * (hi - lo)[:, 0] / b,
-                                                            np.abs(fine))
-        total += float(fine[~bad].sum())
-        mid = 0.5 * (lo[bad] + hi[bad])
-        lo, hi = np.vstack((lo[bad], mid)), np.vstack((mid, hi[bad]))
+    if not (0.0 < b < math.inf and b >= 2.0 * far):
+        raise NumericalError("end integral needs 0 < b < inf and b >= 2 stop")
+    edges = b * 2.0 ** -np.arange(math.floor(math.log2(b / far)) + 1.0)
     u = edges[:-3:-1]
-    return total + _power_tail(u, h(u))
-
-
-def tail_integral(f, a: float) -> float:
-    """Improper integral of f over [a, inf): ``end_integral`` in u = 1/r.
-
-    The last edge is r = 2^40 for every a <= 1, far enough out that a log
-    term such as the chart's m log R no longer biases the closing power fit.
-    """
-    if a <= 0.0:
-        raise NumericalError("tail integral needs a positive lower limit")
-    return end_integral(lambda u: f(1.0 / u) / (u * u), 1.0 / a)
+    return float(checked_panels(h, edges[1:], edges[:-1])[3].sum()) + _power_tail(u, h(u))
 
 
 def dyadic_gauss(f, lo: float, hi: float, inner: float) -> float:

@@ -29,6 +29,7 @@ class.  The pointwise functionals make one ``eval`` call and accept
 arrays as well.  The ADM mass is the large-r limit of the
 coordinate-sphere Hawking masses, and the central mass the small-r limit
 of the mass integrand; both are ``numerics.ladder_limit`` of four radii.
+Capacities read one checked table of 4 pi/A per profile, memoized on use.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ import numpy as np
 from numpy.polynomial.legendre import legint, legvander
 
 from .errors import DomainError, NonConvergenceError, NumericalError, ValidationError
-from .numerics import (_floats, _newton, _power_tail, end_integral, gauss_nodes,
-                       ladder_limit, tail_integral)
+from .numerics import (_floats, _newton, _power_tail, checked_panels, gauss_nodes,
+                       ladder_limit)
 
 FOUR_PI = 4.0 * math.pi
 MINUS_INFINITY = -math.inf
@@ -65,6 +66,12 @@ class RadialProfile:
     def inner_edge(self) -> float:
         """Smallest radius ``eval`` accepts: r_min, or a table's first edge."""
         return self.r_min
+
+    @functools.cached_property
+    def _inv_area(self) -> "_PanelTable":
+        """Checked table of 4 pi/A anchored at its top, built on first use."""
+        with np.errstate(all="ignore"):  # the table checks each value; A may underflow to 0
+            return _PanelTable(lambda r: FOUR_PI / self.area(r), self.r_min, checked=True)
 
     def area(self, r):
         return self.eval(r)[0]
@@ -231,6 +238,8 @@ class PowerLawProfile(RadialProfile):
         flat = np.array([FOUR_PI * r * r, 2.0 * FOUR_PI * r, np.full_like(r, 2.0 * FOUR_PI)])
         d0, d1, d2 = flat - head
         blend = head + np.array([w * d0, dw * d0 + w * d1, d2w * d0 + 2.0 * dw * d1 + w * d2])
+        # A as (1 - w) head + w flat: head + w d0 cancels where head >> flat (large p)
+        blend[0] = (1.0 - t) ** 3 * (1.0 + 3.0 * t + 6.0 * t * t) * head[0] + w * flat[0]
         A, dA, d2A = np.where(r <= g, head, np.where(r >= 2.0 * g, flat, blend))
         return _floats(A, dA, d2A)
 
@@ -417,27 +426,32 @@ def adm_mass(profile: RadialProfile, r0: float = 1e3) -> float:
     return ladder_limit(vals, noise, order=1)
 
 
-def regular_mass_integrand(profile: RadialProfile, r):
-    """-(1/64 pi^{3/2}) A'^2 / sqrt(A); its r -> 0 limit is the central mass."""
-    A, Ap, _ = profile.eval(r)
-    return _floats(-(Ap * Ap) / (64.0 * math.pi ** 1.5 * np.sqrt(A)))[0]
+def _stays_off_zero(v) -> bool:
+    """A ladder settles or extrapolates to more than half its least |sample|."""
+    try:
+        return abs(ladder_limit(v, 1e-12 * np.abs(v).max())) > 0.5 * np.abs(v).min()
+    except NonConvergenceError:
+        return False
 
 
 def regular_mass(profile: RadialProfile) -> float:
-    """Mass of the central singularity: lim_{r->0} of the mass integrand.
+    """Mass of the central singularity: lim_{r->0} of -A'^2 / (64 pi^{3/2} sqrt(A)).
 
-    ``ladder_limit`` of the integrand at r = h, h/2, h/4, h/8 from
-    h = 1e-6, with the leading exponent estimated (profiles typically
-    carry fractional powers of r).  Divergence returns the -inf marker.
-    A ladder that is not steady (say, one straddling a profile's blend)
-    moves down by 2^-4, at most ten times and never below ``inner_edge``;
-    then the NonConvergenceError is raised with the samples attached.
+    ``ladder_limit`` of that integrand at r = h, h/2, h/4, h/8 from h = max(1e-6,
+    8 ``inner_edge``).  Divergence returns the -inf marker.  A ladder that is not
+    steady (say, one straddling a profile's blend) moves down by 2^-4, at most ten
+    times and never below ``inner_edge``; then NonConvergenceError is raised.
+    DomainError where the areas and A' both stay off 0: a boundary sphere, not a
+    zero area singularity (a horizon, A' -> 0, keeps its limit 0).
     """
     if profile.r_min != 0.0:
         raise DomainError("regular mass needs the singular end at r = 0")
-    h = 1e-6
+    h = max(1e-6, 8.0 * profile.inner_edge)
     for moves in range(11):
-        vals = regular_mass_integrand(profile, h / 2.0 ** np.arange(4)).tolist()
+        A, Ap, _ = profile.eval(h / 2.0 ** np.arange(4))
+        if _stays_off_zero(A) and _stays_off_zero(Ap):
+            raise DomainError(f"nonzero area at r = 0 ({A[-1]:.6g}): not a zero area singularity")
+        vals = (-(Ap * Ap) / (64.0 * math.pi ** 1.5 * np.sqrt(A))).tolist()
         try:
             return ladder_limit(vals, 1e-12 * max(abs(v) for v in vals))
         except NonConvergenceError:
@@ -450,34 +464,38 @@ def regular_mass(profile: RadialProfile) -> float:
 # capacity
 
 
-def radial_capacity_function(profile: RadialProfile, r: float) -> float:
-    """f(r) = 4 pi int_r^inf ds / A(s)."""
-    if not math.isinf(profile.r_max):
-        raise DomainError("capacity needs an unbounded profile")
-    return FOUR_PI * tail_integral(lambda s: 1.0 / profile.area(s), r)
+def radial_capacity_function(profile: RadialProfile, r):
+    """f(r) = 4 pi int_r^inf ds/A: the table's panels above r and its tail, or
+    for a conformal profile f/phi of its base (d(f/phi)/dr = f'/phi^2).
+    DomainError outside the table, NumericalError when f diverges."""
+    if isinstance(profile, ConformalProfile):
+        f = radial_capacity_function(profile.base, profile.old_radius(r))
+        return f / (1.0 + profile.C * f)
+    table = profile._inv_area
+    if math.isinf(table.tail):
+        raise NumericalError("the capacity function diverges: A grows no faster than r")
+    return _floats(table.tail - table.integral(r))[0]
 
 
 def radial_capacity(profile: RadialProfile, r0: float) -> float:
     """Capacity of the coordinate sphere at r0: f(r0)^{-1}."""
-    f = radial_capacity_function(profile, r0)
-    if f <= 0.0 or not math.isfinite(f):
-        raise NumericalError("radial capacity function failed to evaluate")
-    return 1.0 / f
+    return 1.0 / radial_capacity_function(profile, r0)
 
 
 def capacity_center(profile: RadialProfile) -> float:
     """Capacity of the central point: 1/f(0), 0 when f(0) diverges at either end.
 
-    f(0) = 4 pi int_0^1 ds/A + f(1), the head one ``end_integral`` down
-    to the profile's ``inner_edge``.  Raises DomainError unless the
-    profile's inner end is r = 0.
+    f(0) sums the table of 4 pi/A and both its end tails; a conformal profile's
+    1/f(0) is its base's plus C, or 0 where phi vanishes.  Raises DomainError
+    unless the profile's inner end is r = 0.
     """
     if profile.r_min != 0.0:
         raise DomainError("central capacity needs the singular end at r = 0")
-    head = end_integral(lambda s: 1.0 / profile.area(s), 1.0, profile.inner_edge)
-    if math.isinf(head):
-        return 0.0
-    return 1.0 / (FOUR_PI * head + radial_capacity_function(profile, 1.0))
+    if isinstance(profile, ConformalProfile):
+        phi_vanishes = profile._arc.origin > profile.base.r_min
+        return 0.0 if phi_vanishes else capacity_center(profile.base) + profile.C
+    table = profile._inv_area
+    return 1.0 / (table.head - float(table.F[0]) + table.tail)
 
 
 # ---------------------------------------------------------------------------
@@ -560,28 +578,39 @@ def _bary(nodes, lam, values, u):
 class _PanelTable:
     """Running integral F(r) of a positive vectorized integrand on Gauss panels.
 
-    The panels are the octaves [2^k, 2^(k+1)] of d = r - origin from 2^-64
-    (30 octaves below the origin when it is positive) up to 2^64, all
-    tabulated at construction; ``integral`` and ``invert`` raise
-    DomainError outside them, and a non-finite integrand value raises
-    NumericalError.  ``anchor`` puts F = 0 at one edge.  Each panel
-    keeps the integrand at its Gauss nodes and the integral from its
-    left edge to each node, so F and the integrand anywhere inside come
-    from barycentric interpolation (Berrut & Trefethen, SIAM Rev. 46, 2004).
+    Octaves [2^k, 2^(k+1)] of d = r - origin from 2^-64 (30 octaves below a
+    positive origin) up to 2^64, halved by ``checked_panels`` if ``checked``,
+    less bottom octaves where the integrand overflows.  ``_power_tail`` gives
+    ``head`` below them (+inf if any were left out) and ``tail`` above, in
+    u = 1/r.  F = 0 at the top edge, or where ``anchor`` puts it.  A panel
+    keeps the integrand at its 24 Gauss nodes and the integral from its left
+    edge to each, so F inside is barycentric interpolation (Berrut &
+    Trefethen, SIAM Rev. 46, 2004); outside, ``integral`` and ``invert`` raise.
     """
 
-    def __init__(self, integrand, origin: float):
+    def __init__(self, integrand, origin: float, checked: bool = False):
         self.origin = origin
         k_lo = -64 if origin == 0.0 else min(-1, math.floor(math.log2(origin)) - 30)
         self.d_edges = d = 2.0 ** np.arange(k_lo, 65.0)
         x, w, _, spectral, _, _ = _panel_rule()
-        half = 0.5 * np.diff(d)[:, None]
-        self.g = integrand(origin + 0.5 * (d[1:] + d[:-1])[:, None] + half * x)
+        h = lambda d: integrand(origin + d)
+        ends, j = h(d), 0
+        if checked:
+            j = int(np.argmax(np.isfinite(ends * d)))  # panel sums of the rest stay finite
+            lo, hi, self.g, _ = checked_panels(h, d[j:-1], d[j + 1:])
+            self.d_edges = np.append(lo, hi[-1])
+        else:
+            self.g = h(0.5 * (d[1:] + d[:-1])[:, None] + 0.5 * np.diff(d)[:, None] * x)
         if not np.isfinite(self.g).all():
             raise NumericalError("integrand is not finite on the panel table")
+        self.head = _power_tail(d[:2], ends[:2]) if j == 0 else math.inf
+        r = origin + d[:-3:-1]
+        self.tail = _power_tail(1.0 / r, r * r * ends[:-3:-1])
+        half = 0.5 * np.diff(self.d_edges)[:, None]
         self.cum = np.hstack((np.zeros((len(self.g), 1)),
                               half * np.einsum("ij,kj->ik", self.g, spectral)))
         self.totals = (half * self.g * w).sum(axis=1)
+        self.anchor(self.d_edges[-1])
 
     def anchor(self, d: float):
         """Set F = 0 at the edge d, summing panel totals outward from it."""
@@ -591,7 +620,7 @@ class _PanelTable:
     def _panel(self, edges, v):
         """Panel index and d-edges of each v, located among ``edges`` (d or F at the edges)."""
         if not ((v >= edges[0]) & (v <= edges[-1])).all():
-            raise DomainError("outside the tabulated conformal range")
+            raise DomainError("outside the tabulated range")
         i = np.clip(np.searchsorted(edges, v, side="right") - 1, 0, len(edges) - 2)
         return i, self.d_edges[i], self.d_edges[i + 1]
 
@@ -633,13 +662,13 @@ class ConformalProfile(RadialProfile):
     exactly the conformal construction of a point singularity there
     (areas shrink to zero).
 
-    Two panel tables are built once, and the profile is immutable: the
-    running integral of 4 pi/A above the base's inner end, anchored at
-    the table top (f is its complement plus the tail above the top),
-    and the new arclength s_new = int phi^2 ds above the floor.
-    ``numerics._power_tail`` closes both ends beyond the tables.  s_new
-    starts at the floor when int phi^2 ds converges there, and at base
-    radius 1 (the domain then unbounded below) when it diverges.
+    f and the zero of phi come from the base's table of 4 pi/A, and the
+    new arclength s_new = int phi^2 ds is one more panel table above the
+    floor, built once.  s_new starts at the floor when int phi^2 ds
+    converges there, and at base radius 1 (the domain then unbounded
+    below) when it diverges.  The new capacity function is f/phi: a table
+    of the new 4 pi/A would need phi = 1 + C f to better than its rounding
+    error, about eps/phi, near a zero of phi.
     """
 
     kind = "conformal"
@@ -650,43 +679,21 @@ class ConformalProfile(RadialProfile):
         if not base.r_min >= 0.0:
             raise DomainError("conformal base must start at a radius >= 0")
         self.base, self.C = base, float(C)
-        inner = base.r_min
-        self._inv_area = table = _PanelTable(lambda r: FOUR_PI / base.area(r), inner)
-        table.anchor(table.d_edges[-1])
-        r = inner + table.d_edges[:-3:-1]  # f above the top, in u = 1/r
-        self._f_top = _power_tail(1.0 / r, FOUR_PI * r * r / base.area(r))
-        if math.isinf(self._f_top):
-            raise NumericalError("the base's capacity function diverges")
-        floor = self._find_floor()
-        self._arc = arc = _PanelTable(lambda r: self._phi(r) ** 2, floor)
-        d = arc.d_edges[:2]
-        below = _power_tail(d, self._phi(floor + d) ** 2)
-        if math.isinf(below):
-            # int phi^2 ds diverges at the inner end: s_new = 0 at base radius 1
-            arc.anchor(1.0)
-            self._s0, r_min = 0.0, -math.inf
-        else:
-            arc.anchor(d[0])
-            self._s0, r_min = -below, 0.0
-        super().__init__(r_min, math.inf)
+        self._arc = arc = _PanelTable(lambda r: self._phi(r) ** 2, self._find_floor())
+        diverges = math.isinf(arc.head)  # int phi^2 ds: then s_new = 0 at base radius 1
+        arc.anchor(1.0 if diverges else arc.d_edges[0])
+        self._s0 = 0.0 if diverges else -arc.head
+        super().__init__(-math.inf if diverges else 0.0, math.inf)
 
     def _phi(self, r):
-        return 1.0 + self.C * (self._f_top - self._inv_area.integral(r))
+        return 1.0 + self.C * radial_capacity_function(self.base, r)
 
     def _find_floor(self) -> float:
-        """Zero crossing of phi (increasing in r for C < 0), else the base's inner end."""
-        if self.C >= 0.0:
+        """phi's zero (f = -1/C; DomainError outside the base's table), else the base's r_min."""
+        t = self.base._inv_area
+        if self.C >= 0.0 or 1.0 + self.C * (t.head - t.F[0] + t.tail) > 0.0:
             return self.base.r_min
-        table = self._inv_area
-        target = self._f_top + 1.0 / self.C  # running integral where phi = 0
-        if target >= 0.0:  # strong factors push the crossing past the table top
-            raise NumericalError("conformal factor stays nonpositive")
-        if table.F[0] < target:
-            return float(table.invert(target))
-        d = table.d_edges[:2]
-        if _power_tail(d, FOUR_PI / self.base.area(table.origin + d)) >= table.F[0] - target:
-            raise DomainError("conformal factor vanishes below the tabulated range")
-        return self.base.r_min  # phi > 0 all the way in
+        return float(t.invert(t.tail + 1.0 / self.C))
 
     @property
     def inner_edge(self) -> float:

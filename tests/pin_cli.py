@@ -8,8 +8,10 @@ written out literally, plus the reduced shear gamma* = 1 (the curves have
 NA gap rows) and kappa = 1 cases, four m = -1 surveys at the default
 41 x 41 grid (gamma* = 0, 1/3, 0.2 and 1.8), four spherical reports at
 r0 = 2 that reach the power-law and positive-mass capacity paths, and one
-positive-mass report at r0 = 1e-5, whose capacity needs the tail integral's
-far end at r = 2^40.  Each call runs in process through
+positive-mass report at r0 = 1e-5, whose capacity needs the far end of the
+capacity integral at r = 2^40, and one power-law report at r0 = 13, just
+above the blend into flat space at r = 12.63, where the capacity is exactly
+13 only if the integral of 4 pi/A resolves the blend's end.  Each call runs in process through
 ``negmass.cli.run``; it needs numpy alone.  ``moved`` says how cells compare.
 """
 
@@ -66,6 +68,7 @@ CALLS = {
     "k2-p4_3-spherical-report": ["spherical-report", "--profile", "power-law", "--k", "2", "--p", "1.3333333333333333", "--r0", "2"],
     "pos-m1-spherical-report": ["spherical-report", "--profile", "neg-schwarzschild", "--mass", "1", "--r0", "2"],
     "pos-m1-r1e-5-spherical-report": ["spherical-report", "--profile", "neg-schwarzschild", "--mass", "1", "--r0", "1e-5"],
+    "k5-p2.5-r13-spherical-report": ["spherical-report", "--profile", "power-law", "--k", "5", "--p", "2.5", "--r0", "13"],
 }
 
 REL_TOL = 1e-13

@@ -4,32 +4,38 @@ import numpy as np
 import pytest
 
 from negmass.errors import NonConvergenceError, NumericalError
-from negmass.numerics import (_power_tail, dyadic_gauss, end_integral, gauss_panel,
-                              ladder_limit, tail_integral)
+from negmass.numerics import (_power_tail, checked_panels, dyadic_gauss, end_integral,
+                              gauss_panel, ladder_limit)
+
+
+def tail(f, a):
+    """int_a^inf f(r) dr as ``end_integral`` in u = 1/r."""
+    return end_integral(lambda u: f(1.0 / u) / (u * u), 1.0 / a)
 
 
 def test_tail_integral_inverse_square():
     # int_2^inf dr/r^2 = 1/2
-    assert tail_integral(lambda r: 1.0 / r ** 2, 2.0) == pytest.approx(0.5, rel=1e-10)
+    assert tail(lambda r: 1.0 / r ** 2, 2.0) == pytest.approx(0.5, rel=1e-10)
 
 
 def test_tail_integral_needs_positive_start():
+    # a tail from r = 0 has u running to infinity
     with pytest.raises(NumericalError):
-        tail_integral(lambda r: 1.0 / r ** 2, 0.0)
+        end_integral(lambda u: np.ones_like(u), math.inf)
 
 
 def test_tail_integral_log_tail():
     # int_a^inf ln r / r^2 dr = (1 + ln a)/a; the u = 1/r integrand -ln u is unbounded
     for a in (0.01, 2.0, 50.0):
-        assert tail_integral(lambda r: np.log(r) / r ** 2, a) == pytest.approx(
+        assert tail(lambda r: np.log(r) / r ** 2, a) == pytest.approx(
             (1.0 + math.log(a)) / a, rel=1e-10)
 
 
 def test_tail_integral_closes_a_power_tail_exactly():
     # the sliver below the last octave is int_0^u0 c u^-q du, not a rectangle
-    assert tail_integral(lambda r: r ** -1.5, 1.0) == pytest.approx(2.0, rel=1e-12)
-    assert tail_integral(lambda r: 1.0 / r, 1.0) == math.inf
-    assert tail_integral(lambda r: -r ** -0.9, 1.0) == -math.inf
+    assert tail(lambda r: r ** -1.5, 1.0) == pytest.approx(2.0, rel=1e-12)
+    assert tail(lambda r: 1.0 / r, 1.0) == math.inf
+    assert tail(lambda r: -r ** -0.9, 1.0) == -math.inf
 
 
 def test_end_integral_stops_at_its_inner_edge():
@@ -56,7 +62,7 @@ def test_power_tail_fits_two_end_values():
 def test_tail_integral_raises_when_orders_disagree():
     # sin(1/u) oscillates without bound toward u = 0: orders n and 2n cannot agree
     with pytest.raises(NonConvergenceError):
-        tail_integral(lambda r: np.sin(r) / r ** 2, 1.0)
+        tail(lambda r: np.sin(r) / r ** 2, 1.0)
 
 
 def test_gauss_panel_matches_closed_form():

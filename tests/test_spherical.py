@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -13,7 +14,7 @@ from negmass.spherical import (ConformalProfile, ConformalSchwarzschildProfile,
                                bump_profile, capacity_center, classify_power_law,
                                hawking_mass_sphere, parse_profile_file,
                                radial_capacity, radial_capacity_function, regular_mass,
-                               regular_mass_integrand, scalar_curvature)
+                               scalar_curvature)
 
 K_SCHW = 16.0 * math.pi * (3.0 / 4.0) ** (4.0 / 3.0)  # A ~ k s^{4/3} for |m| = 1
 
@@ -52,10 +53,8 @@ def test_eval_array_matches_scalar():
             assert all(type(v) is float for v in scalar)
             assert [a[i] for a in arrays] == pytest.approx(scalar, rel=1e-13), prof
             assert (prof.area(r), prof.d_area(r), prof.d2_area(r)) == scalar
-            assert all(type(fn(prof, r)) is float
-                       for fn in (hawking_mass_sphere, regular_mass_integrand))
-        assert all(fn(prof, grid).shape == grid.shape
-                   for fn in (hawking_mass_sphere, regular_mass_integrand))
+            assert type(hawking_mass_sphere(prof, r)) is float
+        assert hawking_mass_sphere(prof, grid).shape == grid.shape
         square = prof.eval(np.vstack((grid, grid)))
         assert all(v.shape == (2, grid.size) for v in square)
         assert square[0][1] == pytest.approx(arrays[0], rel=1e-13)
@@ -334,6 +333,17 @@ def test_capacity_meets_closed_form_to_tail_tolerance():
         assert radial_capacity(cs, r0) == pytest.approx(cs.capacity_exact(r0), rel=1e-10)
 
 
+def test_capacity_across_a_blend_meets_reference():
+    # A = 20 r^1.5 blends into flat space over [2.533, 5.066]; the reference is
+    # mpmath.quad of 4 pi/A at 40 digits, split at both ends of the blend
+    prof = PowerLawProfile(20.0, 1.5)
+    assert radial_capacity(prof, 2.0) == pytest.approx(1.9736942445357382787, rel=1e-14, abs=0.0)
+    # a steep blend (at p = 20, A reaches thousands of times 4 pi r^2) keeps f = 1/r past it
+    for p in (12.0, 20.0):
+        r = 3.0 * PowerLawProfile(3.0, p).r_glue
+        assert radial_capacity(PowerLawProfile(3.0, p), r) == pytest.approx(r, rel=1e-14, abs=0.0)
+
+
 def test_capacity_monotone_in_radius():
     for prof in (FlatProfile(), ConformalSchwarzschildProfile(-1.0),
                  PowerLawProfile(3.0, 0.5)):
@@ -345,7 +355,8 @@ def test_capacity_center_cases():
     assert capacity_center(ConformalSchwarzschildProfile(-1.0)) == 0.0
     assert capacity_center(FlatProfile()) == 0.0
     assert capacity_center(PowerLawProfile(3.0, 0.5)) > 0.0
-    for p in (1.0, 1.2, 4.0 / 3.0, 2.0):
+    # p = 30: A underflows to 0 near r = 2^-64, where the head diverges anyway
+    for p in (1.0, 1.2, 4.0 / 3.0, 2.0, 30.0):
         assert capacity_center(PowerLawProfile(3.0, p)) == 0.0
     # A = 4 pi sqrt(r): the head converges, the tail diverges, so f(0) = inf
     root = CustomProfile(lambda r: (4 * math.pi * np.sqrt(r), 2 * math.pi / np.sqrt(r),
@@ -451,13 +462,19 @@ def test_adm_at_least_regular_mass():
 # harmonic conformal factor
 
 def test_conformal_flat_to_schwarzschild():
-    res = apply_harmonic_conformal(FlatProfile(), -0.5)
-    assert res.adm_check == pytest.approx(0.0, abs=1e-3)
-    cs = ConformalSchwarzschildProfile(-1.0)
-    for s in (0.3, 1.0, 5.0):
-        assert res.profile.area(s) == pytest.approx(cs.area(s), rel=1e-9)
-    assert adm_mass(res.profile, r0=res.profile.new_arclength(2e3)) == pytest.approx(
-        -1.0, abs=1e-6)
+    # phi = 1 + m/2r over flat space is the closed-form slice of mass m < 0:
+    # an oracle for the conformal tables, the floor search and the end rule
+    s = np.geomspace(1e-8, 1e4, 241)
+    for m in (-0.5, -1.0, -1.25, -3.0):
+        res = apply_harmonic_conformal(FlatProfile(), 0.5 * m)
+        assert res.adm_check == pytest.approx(0.0, abs=1e-3)
+        prof, cs = res.profile, ConformalSchwarzschildProfile(m)
+        for got, exact in zip(prof.eval(s), cs.eval(s)):
+            assert np.abs(got / exact - 1.0).max() <= 1e-12
+        assert regular_mass(prof) == pytest.approx(regular_mass(cs), abs=1e-13)
+        for r in (1e-6, 1e-3, 1.0, 1e3):
+            assert radial_capacity(prof, r) == pytest.approx(cs.capacity_exact(r), rel=1e-13, abs=0.0)
+        assert adm_mass(prof, r0=prof.new_arclength(2e3)) == pytest.approx(m, abs=1e-6)
 
 
 def test_conformal_identity():
@@ -516,6 +533,15 @@ def test_conformal_tables_raise_outside_their_range():
             ConformalProfile(line_profile(), C)
 
 
+@pytest.mark.parametrize("C", [0.3, -0.2])
+def test_conformal_factor_exact_past_a_blend(C):
+    # A = 5 r^2.5 blends into flat space by r = 12.63, so f(13) = 1/13 exactly;
+    # a Gauss panel straddling the blend's end must be halved to get it
+    prof = ConformalProfile(PowerLawProfile(5.0, 2.5), C)
+    assert prof.area(prof.new_arclength(13.0)) == pytest.approx(
+        (1.0 + C / 13.0) ** 4 * 4.0 * math.pi * 169.0, rel=1e-12)
+
+
 def test_conformal_positive_factor_down_to_the_center():
     # f(0) = 8.06 for A = 3 r^0.5: phi = 1 - 0.1 f stays positive, -0.2 f crosses zero
     assert ConformalProfile(PowerLawProfile(3.0, 0.5), -0.1).r_min == 0.0
@@ -526,6 +552,17 @@ def test_conformal_positive_factor_down_to_the_center():
 def test_conformal_regular_mass_of_created_singularity():
     res = apply_harmonic_conformal(FlatProfile(), -0.5)
     assert regular_mass(res.profile) == pytest.approx(-1.0, abs=1e-3)
+
+
+def test_regular_mass_needs_a_zero_area_end():
+    # phi = 1 + C f over a negative-mass slice (C > 0) ends at r = 0 with the
+    # area 4 pi C^4 / R0^2, R0 = |m|/2: no zero area singularity, so no mass
+    rng = random.Random(0)
+    for _ in range(32):
+        m, C = rng.uniform(-3.0, -0.3), rng.uniform(0.02, 1.5)
+        prof = ConformalProfile(ConformalSchwarzschildProfile(m), C)
+        with pytest.raises(DomainError, match="nonzero area at r = 0"):
+            regular_mass(prof)
 
 
 # ---------------------------------------------------------------------------
