@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import (BoundaryRegimeError, DegenerateKappaError, DomainError,
                      NumericalError, ValidationError)
-from .lens import LensModel, _eta, _rotated, find_images, lens_map
+from .lens import LensModel, _eta_b, _rotated, find_images, lens_map
 
 GAP_TOL = 1e-9  # |e^{-i phi} - gamma*| below this is a parametrization gap
 SCAN_RESOLUTION = 10 ** 4  # phi grid on which scan_cusps brackets the cusps
@@ -132,7 +132,7 @@ def caustic_curve(reduced: ReducedLens, model: LensModel, n_samples: int) -> np.
     curve = critical_curve(reduced, n_samples)
     z = _rotated(curve.z_plus, model.theta)
     # eta is odd, so the minus branch maps to -y
-    y = np.where(curve.gap, _NAN, _eta(np.where(curve.gap, 1.0, z), model))
+    y = np.where(curve.gap, _NAN, _eta_b(np.where(curve.gap, 1.0, z), model)[0])
     return np.rec.fromarrays((curve.phi, z, -z, curve.gap, y, -y),
                              names="phi,z_plus,z_minus,gap,y_plus,y_minus")
 
@@ -188,15 +188,13 @@ def _equivalent_model(reduced: ReducedLens) -> LensModel:
 def grad_Z_eta(z: complex, model: LensModel) -> complex:
     """Directional derivative of eta along Z = 2i dJ/dconj(z).
 
-    grad_Z eta = (1 - kappa) Z + (gamma + m/conj(z)^2) conj(Z) with
-    Z = 4 i m (gamma + m/z^2) / conj(z)^3; it vanishes exactly at cusps
-    (together with J = 0).  theta = 0 models only.
+    grad_Z eta = (1 - kappa) Z + b conj(Z) with b = d eta/d conj(z) and
+    Z = 4 i m conj(b) / conj(z)^3; it vanishes exactly at cusps (together
+    with J = 0).
     """
-    zb = z.conjugate()
-    b = model.gamma + model.m / zb ** 2
-    bbar = model.gamma + model.m / z ** 2
-    Z = 4j * model.m * bbar / zb ** 3
-    return (1.0 - model.kappa) * Z + b * Z.conjugate()
+    b = _eta_b(z, model)[1]
+    Z = 4j * model.m * b.conjugate() / z.conjugate() ** 3
+    return model._u * Z + b * Z.conjugate()
 
 
 def cusp_angles(reduced: ReducedLens) -> CuspSet:

@@ -12,6 +12,9 @@ and the lens map in complex form is
 
 m may carry either sign; the negative branch is the case of interest.  The
 map, the image polynomial and the Newton polish all work in this lab frame.
+A model computes u = 1 - kappa and G once; one kernel gives eta and b = d eta/d conj(z)
+for a point or an array, and J = u^2 - |b|^2.  The polish takes both from one
+call per step, so an image's J is the polish's own value at the z it returns.
 """
 
 from __future__ import annotations
@@ -61,6 +64,9 @@ class LensModel:
         if self.gamma < 0:
             raise ValidationError("shear gamma must be >= 0")
         object.__setattr__(self, "theta", self.theta % math.pi)
+        # u and G of the lens map; attributes, not fields, so ==, hash and repr ignore them
+        object.__setattr__(self, "_u", 1.0 - self.kappa)
+        object.__setattr__(self, "_G", self.gamma * cmath.exp(2j * self.theta))
 
 
 @dataclass(frozen=True)
@@ -112,11 +118,17 @@ def _rotated(z, angle: float):
     return z if angle == 0.0 else cmath.exp(1j * angle) * z
 
 
-def surface_potential(x, model: LensModel) -> float:
-    """Dimensionless surface potential psi(x) of the combined lens."""
+def _image_position(x, model: LensModel, what: str) -> complex:
+    """x as a finite point, off the point mass where the map is singular."""
     z = _as_point(x, "image position")
     if model.m != 0.0 and z == 0:
-        raise SingularPointError("potential is singular at the point mass")
+        raise SingularPointError(f"{what} is singular at the point mass")
+    return z
+
+
+def surface_potential(x, model: LensModel) -> float:
+    """Dimensionless surface potential psi(x) of the combined lens."""
+    z = _image_position(x, model, "potential")
     x1, x2 = z.real, z.imag
     val = 0.5 * model.kappa * (x1 * x1 + x2 * x2)
     if model.m != 0.0:
@@ -128,6 +140,20 @@ def surface_potential(x, model: LensModel) -> float:
     return _finite(val, z, "potential")
 
 
+def _eta_b(z, model: LensModel):
+    """(eta, b = d eta/d conj(z) = G + m/conj(z)^2) at a complex or a complex ndarray z.
+
+    m is divided by conj(z) twice, so that conj(z)^2 cannot overflow far out."""
+    zb = z.conjugate()
+    eta, b = model._u * z, model._G
+    if model.gamma != 0.0:
+        eta += model._G * zb
+    if model.m != 0.0:
+        q = model.m / zb
+        eta, b = eta - q, b + q / zb
+    return eta, b
+
+
 def lens_map(x, model: LensModel) -> complex:
     """Source position eta(z) = (1 - kappa) z + gamma e^{2 i theta} conj(z) - m/conj(z).
 
@@ -135,31 +161,8 @@ def lens_map(x, model: LensModel) -> complex:
     kappa = 1.  Where it overflows, next to the point mass or far out, it
     raises SingularPointError or DomainError.
     """
-    z = _as_point(x, "image position")
-    if model.m != 0.0 and z == 0:
-        raise SingularPointError("lens map is singular at the point mass")
-    return _finite(_eta(z, model), z, "lens map")
-
-
-def _eta(z, model: LensModel):
-    """The lens map's arithmetic, for a complex or a complex ndarray z."""
-    eta = (1.0 - model.kappa) * z
-    if model.gamma != 0.0:
-        eta += model.gamma * cmath.exp(2j * model.theta) * z.conjugate()
-    if model.m != 0.0:
-        eta -= model.m / z.conjugate()
-    return eta
-
-
-def _shear_term(z: complex, model: LensModel) -> complex:
-    """d eta / d conj(z) = gamma e^{2 i theta} + m / conj(z)^2.
-
-    m is divided by conj(z) twice, so that conj(z)^2 cannot overflow far out.
-    """
-    b = model.gamma * cmath.exp(2j * model.theta)
-    if model.m != 0.0:
-        b += model.m / z.conjugate() / z.conjugate()
-    return b
+    z = _image_position(x, model, "lens map")
+    return _finite(_eta_b(z, model)[0], z, "lens map")
 
 
 def jacobian_det(x, model: LensModel) -> float:
@@ -169,11 +172,9 @@ def jacobian_det(x, model: LensModel) -> float:
     exactly on the critical curves.  Raises SingularPointError where it
     overflows next to the point mass.
     """
-    z = _as_point(x, "image position")
-    if model.m != 0.0 and z == 0:
-        raise SingularPointError("Jacobian is singular at the point mass")
-    u, b = 1.0 - model.kappa, abs(_shear_term(z, model))
-    return _finite(u * u - b * b, z, "Jacobian")
+    z = _image_position(x, model, "Jacobian")
+    b = abs(_eta_b(z, model)[1])  # b * b: inf, where abs(b) ** 2 raises OverflowError
+    return _finite(model._u * model._u - b * b, z, "Jacobian")
 
 
 def magnification_isolated(x, m: float) -> float:
@@ -245,8 +246,8 @@ def _image_polynomial(y: complex, m: float, u: float, G: complex) -> list[comple
     ]
 
 
-def _polish(z: complex, y: complex, model: LensModel) -> tuple[complex, float]:
-    """Newton on the real 2x2 system eta(z) = y; returns z and |eta(z) - y| at that z.
+def _polish(z: complex, y: complex, model: LensModel) -> tuple[complex, float, float]:
+    """Newton on the real 2x2 system eta(z) = y; returns z, |eta(z) - y| and J at that z.
 
     Stops at |f| <= 1e-15 max(1, |z|) (about 4.5 eps), at a step <= 4 eps |z|,
     where J = 0, or after 60 steps.  Past 8 steps it gives up on a root whose
@@ -254,19 +255,17 @@ def _polish(z: complex, y: complex, model: LensModel) -> tuple[complex, float]:
     linear convergence onto a double root (a source on a fold caustic).  A
     root within CENTER_TOL of the point mass gets an infinite residual.
     """
-    u = 1.0 - model.kappa
+    u = model._u
     step = last = math.inf
     for k in range(61):
         if (r := abs(z)) < CENTER_TOL and model.m != 0.0:
-            return z, math.inf
-        res = abs(f := _eta(z, model) - y)
-        if (res <= 1e-15 * max(1.0, r) or abs(step) <= 4.0 * _EPS * r or k == 60
+            return z, math.inf, math.nan
+        eta, b = _eta_b(z, model)
+        res, bb = abs(f := eta - y), abs(b)
+        det = u * u - bb * bb  # as jacobian_det forms it
+        if (res <= 1e-15 * max(1.0, r) or abs(step) <= 4.0 * _EPS * r or k == 60 or det == 0.0
                 or (k >= 8 and res > 1e3 * RESIDUAL_TOL and res > 0.5 * last)):
-            return z, res
-        b = _shear_term(z, model)
-        det = u * u - abs(b) ** 2
-        if det == 0.0:
-            return z, res
+            return z, res, det
         b1, b2 = b.real, b.imag
         # real Jacobian [[u+b1, b2], [b2, u-b1]]
         step = complex((-f.real * (u - b1) + f.imag * b2) / det,
@@ -281,14 +280,14 @@ def _collect_images(cands, y: complex, model: LensModel,
     linear = _EPS * (abs(1.0 - model.kappa) + model.gamma)
     kept: list[ImageSolution] = []
     for z in cands:
-        z, res = _polish(z, y, model)
+        z, res, jac = _polish(z, y, model)
         tol = 1e-8 * max(1.0, abs(z))
         if not res <= RESIDUAL_TOL or any(abs(z - im.position) <= tol for im in kept):
             continue
         if model.m != 0.0 and abs(model.m) <= linear * abs(z) ** 2 and (
                 z_lin is None or abs(z - z_lin) > tol):
             continue
-        jac = jacobian_det(z, model)
+        jac = _finite(jac, z, "Jacobian")
         mu = math.inf if jac == 0.0 else 1.0 / jac
         kept.append(ImageSolution(z, mu, res, 1 if jac > 0 else (-1 if jac < 0 else 0),
                                   critical=(jac == 0.0)))
@@ -319,7 +318,7 @@ def find_images(y, model: LensModel) -> ImageSet:
     yv = _as_point(y, "source position")
     if 8.0 * _EPS * abs(yv) > RESIDUAL_TOL:
         raise DomainError(f"source at |y| = {abs(yv):g} is too far out for the residual test")
-    u, G = 1.0 - model.kappa, model.gamma * cmath.exp(2j * model.theta)
+    u, G = model._u, model._G
     det = u * u - model.gamma * model.gamma
     z_lin = (u * yv - G * yv.conjugate()) / det if det != 0.0 else None
     if model.m == 0.0:

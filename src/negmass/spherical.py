@@ -206,9 +206,9 @@ class PowerLawProfile(RadialProfile):
 
     Past the radius where k r^p crosses 4 pi r^2 the area blends over
     one octave (C^2 smoothstep) into exactly flat 4 pi r^2, so that tail
-    integrals converge and sphere capacities are defined; the blend
-    region keeps A' > 0 because it interpolates between two increasing
-    functions that have already crossed.
+    integrals converge and sphere capacities are defined.  The blend keeps
+    A' > 0 only for p below about 3.603, whatever k; past that, A' < 0
+    inside it makes a spurious horizon.
     """
 
     kind = "power-law"

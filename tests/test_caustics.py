@@ -352,14 +352,15 @@ def test_uncorrected_variant_fails_numerical_condition():
 
 
 def test_cusps_pass_numerical_condition_in_full_models():
-    # full (kappa-carrying) models on both sides of kappa = 1
-    for kappa, gamma in ((0.5, 0.45), (1.5, 0.2)):
-        model = LensModel(-1.0, kappa, gamma)
+    # full (kappa-carrying) models on both sides of kappa = 1; a rotated
+    # shear turns the cusps by theta
+    for kappa, gamma, theta in ((0.5, 0.45, 0.0), (1.5, 0.2, 0.0), (0.5, 0.45, 1.1)):
+        model = LensModel(-1.0, kappa, gamma, theta)
         red = reduce(model)
         cusps = cusp_angles(red)
         for phi, _ in cusps.angles:
             den = cmath.exp(-1j * phi) - red.gamma_star
-            z = 1j * cmath.sqrt(abs(red.m_star) / den)
+            z = cmath.exp(1j * theta) * 1j * cmath.sqrt(abs(red.m_star) / den)
             assert abs(jacobian_det(z, model)) <= 1e-9
             # the full-model cusp gradient is |1-kappa|^2 times the reduced one
             assert abs(grad_Z_eta(z, model)) <= 1e-7 * max(1.0, abs(model.m) * 8)

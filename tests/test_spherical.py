@@ -96,6 +96,12 @@ def test_power_law_eval_matches_piecewise_reference():
     head, tail = PowerLawProfile(3.0, 0.5).eval(np.array([0.1, 1.0]))[0]
     assert head == 3.0 * 0.1 ** 0.5
     assert tail == 4 * math.pi
+    # the blend keeps A' > 0 only for p below about 3.603 (r A'/A dips to
+    # -0.62 at p = 4), so the docstring's claim is checked up to p = 3.5
+    for p in (0.5, 1.2, 2.5, 3.5):
+        prof = PowerLawProfile(3.0, p)
+        r = prof.r_glue * (1.0 + np.linspace(0.0, 1.0, 4097))
+        assert (prof.eval(r)[1] > 0.0).all()
 
 
 def test_power_law_glue_radius_near_p_two():

@@ -199,6 +199,21 @@ def test_cylinder_slope_bulk_dominated_ratios():
                                       rel=0.02)
 
 
+@pytest.mark.parametrize("a", [1.0, 2.0])
+@pytest.mark.parametrize("delta", [0.3, 0.5])
+def test_cylinder_area_near_rod_head(delta, a):
+    # near the rod the bulk gives cylinder_area ~ K rho^{(delta-1)^2}, with
+    # s = delta - delta^2 and K = 2 pi 4^delta a^{delta^2+2s+1} sqrt(pi)
+    # Gamma(s+1)/Gamma(s+3/2); at rho = 1e-4 a the ratio is 1 + 3.0e-6
+    # (delta = 0.3) and 1 + 2.0e-6 (delta = 0.5)
+    s = delta - delta * delta
+    K = (2.0 * math.pi * 4.0 ** delta * a ** (delta * delta + 2.0 * s + 1.0)
+         * math.sqrt(math.pi) * math.gamma(s + 1.0) / math.gamma(s + 1.5))
+    rho = 1e-4 * a
+    ratio = cylinder_area(ZVModel(delta * a, a), rho) / (K * rho ** ((delta - 1.0) ** 2))
+    assert abs(ratio - 1.0) <= 1e-5
+
+
 def test_cylinder_slope_endpoint_dominated_ratios():
     # at m/a = -1 and -2 the rod-end layers win: observed slope is 2 - x,
     # not the bulk form (x-1)^2
