@@ -117,13 +117,17 @@ def test_cli_images(tmp_path):
     assert svg.exists()
 
 
-def test_cli_cusps_both_regimes(tmp_path):
+def test_cli_cusps_both_regimes(tmp_path, capsys):
     out = tmp_path / "c.csv"
-    # kappa = 0 (eps = +1), gamma* = 0.5: no cusps
+    svg = tmp_path / "c.svg"
+    # kappa = 0 (eps = +1), gamma* = 0.5: no cusps, so nothing to plot
     assert run(["lens-cusps", "--m", "-1", "--kappa", "0", "--gamma", "0.5",
-                "--out", str(out)]) == 0
+                "--out", str(out), "--svg", str(svg)]) == 0
     _, rows = read_csv(out)
     assert rows == []
+    assert not svg.exists()
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "skipping SVG" in err
     # kappa = 1.5 (eps = -1), gamma* = 0.5: cusps at 0 and pi, count 4
     assert run(["lens-cusps", "--m", "-1", "--kappa", "1.5", "--gamma", "0.25",
                 "--out", str(out)]) == 0
@@ -284,6 +288,38 @@ def test_cli_survey_svg(tmp_path):
     assert svg.exists() and b"</svg>" in svg.read_bytes()
 
 
+_SVG_CALLS = {
+    "lens-images": (["--m", "-1", "--y", "3,0"], "lens images", ["images", "source"]),
+    "lens-lightcurve": (["--m", "-1", "--d", "3", "--n", "11"], "light curve", ["mu(t)"]),
+    "lens-critical": (["--m", "-1", "--kappa", "0.6", "--gamma", "0.2", "--samples", "90"],
+                      "critical curves", ["z+", "z-"]),
+    "lens-caustics": (["--m", "-1", "--kappa", "0.6", "--gamma", "0.2", "--samples", "90"],
+                      "caustics", ["y+", "y-"]),
+    "lens-cusps": (["--m", "-1", "--kappa", "1.5", "--gamma", "0.25"],
+                   "cusps (count 4)", ["cusp angles"]),
+    "lens-survey": (["--m", "-1", "--y", "-3,3", "--n", "7"],
+                    "image multiplicity", ["count 0", "count 2"]),
+    "spherical-report": (["--profile", "neg-schwarzschild", "--mass", "-1"],
+                         "Hawking mass", ["m_H(r)"]),
+    "imcf-flow": (["--profile", "flat", "--r0", "1", "--t-end", "2"],
+                  "IMCF Hawking mass", ["m_H(t)"]),
+    "weyl-zv": (["--m", "-1"], "cylinder areas", ["log10 area"]),
+}
+
+
+@pytest.mark.parametrize("command", _SVG_CALLS)
+def test_cli_svg_title_and_series_labels(command, tmp_path):
+    import xml.etree.ElementTree as ET
+    flags, title, labels = _SVG_CALLS[command]
+    out, svg = tmp_path / "x.csv", tmp_path / "x.svg"
+    assert run([command, *flags, "--out", str(out), "--svg", str(svg)]) == 0
+    assert out.exists()
+    texts = [el.text for el in ET.parse(svg).getroot().iter("{http://www.w3.org/2000/svg}text")]
+    # the title comes first and the series labels last, in series order
+    assert texts[0] == title
+    assert texts[-len(labels):] == labels
+
+
 def test_cli_weyl_excluded_ratio(tmp_path):
     # m = a: exponents are NA but the run still succeeds
     out = tmp_path / "w.csv"
@@ -292,6 +328,14 @@ def test_cli_weyl_excluded_ratio(tmp_path):
     table = dict(zip(header, rows[0]))
     assert table["area_exponent_bulk"] is None
     assert table["adm_flux"] == pytest.approx(1.0, abs=1e-6)
+    # m = 0 is flat space: no level-set energy and no energy exponent
+    assert run(["weyl-zv", "--m", "0", "--out", str(out)]) == 0
+    header, rows = read_csv(out)
+    for row in rows:
+        table = dict(zip(header, row))
+        assert table["energy"] is None and table["energy_exponent"] is None
+        assert table["classification"] is None  # the NA cell
+        assert table["adm_flux"] == 0.0
 
 
 def test_cli_determinism(tmp_path):
@@ -328,14 +372,32 @@ def test_cli_missing_required_flag(tmp_path, capsys):
 
 
 def test_cli_bad_pair_exits_2(tmp_path):
-    assert run(["lens-images", "--m", "-1", "--y", "3;0",
-                "--out", str(tmp_path / "x.csv")]) == 2
+    for y in ("3;0", "3,x"):
+        assert run(["lens-images", "--m", "-1", "--y", y,
+                    "--out", str(tmp_path / "x.csv")]) == 2
 
 
 def test_cli_validation_error_exits_2(tmp_path):
+    out = ["--out", str(tmp_path / "x.csv")]
     # gamma* = 1 boundary regime
-    assert run(["lens-cusps", "--m", "-1", "--kappa", "0", "--gamma", "1",
-                "--out", str(tmp_path / "x.csv")]) == 2
+    assert run(["lens-cusps", "--m", "-1", "--kappa", "0", "--gamma", "1", *out]) == 2
+    # a light curve needs two samples, and a survey axis lo < hi
+    assert run(["lens-lightcurve", "--m", "-1", "--d", "3", "--n", "1", *out]) == 2
+    assert run(["lens-survey", "--m", "-1", "--y=4,-4", *out]) == 2
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_cli_numerical_error_exits_3(tmp_path, monkeypatch, capsys):
+    from negmass import lens
+    from negmass.errors import NumericalError
+
+    def fail(*args):
+        raise NumericalError("did not settle")
+
+    monkeypatch.setattr(lens, "light_curve", fail)
+    assert run(["lens-lightcurve", "--m", "-1", "--d", "3",
+                "--out", str(tmp_path / "x.csv")]) == 3
+    assert "did not settle" in capsys.readouterr().err
 
 
 def test_cli_unwritable_output_exits_3(tmp_path):
@@ -345,10 +407,12 @@ def test_cli_unwritable_output_exits_3(tmp_path):
 
 def test_cli_config_merge(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("d = 3\nn = 11\nt0 = -2  # comment\nt1 = 2\n", encoding="utf-8")
+    cfg.write_text("# a light curve\nm = -1\n\nd = 3\nn = 11\nt0 = -2  # comment\nt1 = 2\n",
+                   encoding="utf-8")
     out = tmp_path / "lc.csv"
-    # --n on the command line wins over the config's n = 11
-    assert run(["lens-lightcurve", "--m", "-1", "--n", "5",
+    # the config supplies the required --m; --n on the command line wins
+    # over the config's n = 11
+    assert run(["lens-lightcurve", "--n", "5",
                 "--config", str(cfg), "--out", str(out)]) == 0
     _, rows = read_csv(out)
     assert len(rows) == 5
@@ -357,9 +421,12 @@ def test_cli_config_merge(tmp_path):
 
 def test_cli_config_unknown_key(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("nonsense = 3\n", encoding="utf-8")
-    assert run(["lens-lightcurve", "--m", "-1", "--d", "3",
-                "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    # an unknown key, a nested config, a bad value and a line without '='
+    for text in ("nonsense = 3\n", "config = other.cfg\n", "n = many\n", "n 5\n"):
+        cfg.write_text(text, encoding="utf-8")
+        assert run(["lens-lightcurve", "--m", "-1", "--d", "3",
+                    "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2, text
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_cli_config_missing_file(tmp_path):
