@@ -1,10 +1,13 @@
 """Command-line front end: run the computational modules, emit CSV and SVG.
 
 Subcommands: lens-images, lens-lightcurve, lens-critical, lens-caustics,
-lens-cusps, lens-survey, spherical-report, imcf-flow, weyl-zv.
+lens-cusps, lens-survey, spherical-report, imcf-flow, weyl-zv.  Each body
+returns its CSV header, its rows and its plot; ``run`` writes the table to
+--out and, under --svg, the plot.
 
-A flat ``key = value`` config file (--config) is merged underneath the
-command-line flags: flags win, unknown keys are rejected.  Exit codes:
+A flat ``key = value`` config file (--config) reads as the flags
+``--key=value`` placed before the command line's own, so flags win.
+argparse reports unknown keys, bad values and missing flags.  Exit codes:
 0 success, 2 validation error, 3 numerical failure or unwritable output.
 """
 
@@ -24,90 +27,11 @@ from .tableio import write_csv
 
 REQUIRED = object()  # default marker: flag must be supplied (CLI or config)
 
-_COMMON_PROFILE = {
-    "profile": (str, REQUIRED),
-    "mass": (float, -1.0),
-    "k": (float, None),
-    "p": (float, None),
-    "file": (str, None),
-}
+_COMMON_PROFILE = {"profile": (str, REQUIRED), "mass": (float, -1.0), "k": (float, None),
+                   "p": (float, None), "file": (str, None)}
 
 _LENS = {"m": (float, REQUIRED), "kappa": (float, 0.0), "gamma": (float, 0.0)}
 _CURVE = {**_LENS, "samples": (int, 720)}
-
-_SPECS: dict[str, dict[str, tuple]] = {
-    "lens-images": {**_LENS, "theta": (float, 0.0), "y": (str, REQUIRED)},
-    "lens-lightcurve": {
-        "m": (float, REQUIRED), "d": (float, REQUIRED), "t0": (float, -5.0),
-        "t1": (float, 5.0), "n": (int, 101),
-    },
-    "lens-critical": _CURVE,
-    "lens-caustics": _CURVE,
-    "lens-cusps": _LENS,
-    "lens-survey": {**_LENS, "y": (str, "-4,4"), "n": (int, 41), "samples": (int, 8192)},
-    "spherical-report": {**_COMMON_PROFILE, "r0": (float, 1.0)},
-    "imcf-flow": {**_COMMON_PROFILE, "r0": (float, REQUIRED),
-                  "t-end": (float, REQUIRED)},
-    "weyl-zv": {
-        "m": (float, REQUIRED), "a": (float, 1.0), "radius": (float, 5.0),
-        "rho": (float, 1e-3),
-    },
-}
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="negmass",
-        description="Negative point-mass lensing and geometry toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, spec in _SPECS.items():
-        p = sub.add_parser(name)
-        for opt, (typ, _default) in spec.items():
-            p.add_argument(f"--{opt}", dest=opt.replace("-", "_"),
-                           type=typ, default=None)
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--svg", type=str, default=None)
-        p.add_argument("--config", type=str, default=None)
-    return parser
-
-
-def _load_config(path: str) -> dict[str, str]:
-    out = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ValidationError(
-                        f"{path}:{lineno}: expected 'key = value'")
-                key, _, value = line.partition("=")
-                out[key.strip()] = value.strip()
-    except OSError as exc:
-        raise ValidationError(f"cannot read config {path}: {exc}") from exc
-    return out
-
-
-def _resolve_options(args, command: str):
-    """Fill the options no flag set: from --config first, then from the defaults."""
-    spec = {**_SPECS[command], "out": (str, f"{command}.csv"), "svg": (str, None)}
-    config = {} if args.config is None else _load_config(args.config)
-    for key, raw in config.items():
-        if key not in spec:
-            raise ValidationError(f"unknown config key {key!r} for {command}")
-        dest = key.replace("-", "_")
-        if getattr(args, dest) is None:  # flags win over config
-            try:
-                setattr(args, dest, spec[key][0](raw))
-            except ValueError as exc:
-                raise ValidationError(f"config key {key!r}: {exc}") from exc
-    for opt, (_typ, default) in spec.items():
-        dest = opt.replace("-", "_")
-        if getattr(args, dest) is None:
-            if default is REQUIRED:
-                raise ValidationError(f"missing required flag --{opt}")
-            setattr(args, dest, default)
 
 
 def _parse_pair(text: str, what: str) -> complex:
@@ -130,7 +54,9 @@ def _re_im(z) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# subcommand bodies
+# subcommand bodies: each returns (header, rows, plot), where plot is None
+# when there is nothing to draw, or a function returning the SVG series
+# and the emit_svg options, called only under --svg
 
 
 def _cmd_lens_images(args):
@@ -139,27 +65,19 @@ def _cmd_lens_images(args):
     result = lens.find_images(y, model)
     rows = [[*_re_im(im.position), im.signed_magnification, im.residual,
              im.parity, 1 if im.critical else 0] for im in result]
-    write_csv(args.out, ["x1", "x2", "signed_magnification", "residual",
-                         "parity", "critical"], rows)
-    if args.svg:
-        pts = Series([im.position.real for im in result],
-                     [im.position.imag for im in result], label="images")
-        src = Series([y.real], [y.imag], label="source")
-        emit_svg([pts, src], args.svg, title="lens images",
-                 equal_aspect=True, x_label="x1", y_label="x2")
+    return ["x1", "x2", "signed_magnification", "residual", "parity", "critical"], rows, lambda: (
+        [Series([im.position.real for im in result], [im.position.imag for im in result],
+                label="images"), Series([y.real], [y.imag], label="source")],
+        dict(title="lens images", equal_aspect=True, x_label="x1", y_label="x2"))
 
 
 def _cmd_lens_lightcurve(args):
     if args.n < 2:
         raise ValidationError("--n must be >= 2")
-    times = np.linspace(args.t0, args.t1, args.n)
-    samples = lens.light_curve(args.m, args.d, times)
-    rows = [[s.t, s.magnification] for s in samples]
-    write_csv(args.out, ["t", "mu"], rows)
-    if args.svg:
-        emit_svg([Series([s.t for s in samples],
-                         [s.magnification for s in samples], label="mu(t)")],
-                 args.svg, title="light curve", x_label="t", y_label="mu")
+    samples = lens.light_curve(args.m, args.d, np.linspace(args.t0, args.t1, args.n))
+    ts, mus = [s.t for s in samples], [s.magnification for s in samples]
+    return ["t", "mu"], list(zip(ts, mus)), lambda: (
+        [Series(ts, mus, label="mu(t)")], dict(title="light curve", x_label="t", y_label="mu"))
 
 
 def _cmd_lens_curve(args):
@@ -172,7 +90,7 @@ def _cmd_lens_curve(args):
         if caustic:
             pts = [lens.lens_map(z, model) for z in pts]
         rows = [[None, *_re_im(pts[0]), *_re_im(pts[1])]] if pts else []
-        series = [Series([q.real for q in pts], [q.imag for q in pts])]
+        branches = [(pts, None)]
     else:
         red = caustics.reduce(model)
         curve = (caustics.caustic_curve(red, model, args.samples) if caustic
@@ -181,28 +99,22 @@ def _cmd_lens_curve(args):
         cols = (curve.phi, plus.real, plus.imag, minus.real, minus.imag)
         # NaN marks a gap; it is written as NA and drawn as a break
         rows = [[None if v != v else v for v in row] for row in zip(*(c.tolist() for c in cols))]
-        series = [Series(branch.real.tolist(), branch.imag.tolist(), label=p + sign)
-                  for branch, sign in ((plus, "+"), (minus, "-"))]
-    write_csv(args.out, ["phi", f"{p}p1", f"{p}p2", f"{p}m1", f"{p}m2"], rows)
-    if args.svg:
-        axis = "y" if caustic else "x"
-        emit_svg(series, args.svg, title="caustics" if caustic else "critical curves",
-                 equal_aspect=True, x_label=f"{axis}1", y_label=f"{axis}2")
+        branches = [(plus, p + "+"), (minus, p + "-")]
+    axis = "y" if caustic else "x"
+    return ["phi", f"{p}p1", f"{p}p2", f"{p}m1", f"{p}m2"], rows, lambda: (
+        [Series(np.real(b).tolist(), np.imag(b).tolist(), label=label) for b, label in branches],
+        dict(title="caustics" if caustic else "critical curves", equal_aspect=True,
+             x_label=f"{axis}1", y_label=f"{axis}2"))
 
 
 def _cmd_lens_cusps(args):
     model = lens.LensModel(args.m, args.kappa, args.gamma)
     cusps = caustics.cusp_angles(caustics.reduce(model))
     rows = [[phi, label, cusps.count] for phi, label in cusps.angles]
-    write_csv(args.out, ["phi", "label", "count"], rows)
-    if args.svg:
-        if not cusps.angles:
-            print("no cusps in this regime; skipping SVG", file=sys.stderr)
-        else:
-            emit_svg([Series([phi for phi, _ in cusps.angles],
-                             [0.0 for _ in cusps.angles], label="cusp angles")],
-                     args.svg, title=f"cusps (count {cusps.count})",
-                     x_label="phi", y_label="")
+    return ["phi", "label", "count"], rows, None if not cusps.angles else lambda: (
+        [Series([phi for phi, _ in cusps.angles], [0.0] * len(cusps.angles),
+                label="cusp angles")],
+        dict(title=f"cusps (count {cusps.count})", x_label="phi"))
 
 
 def _cmd_lens_survey(args):
@@ -215,14 +127,12 @@ def _cmd_lens_survey(args):
     result = caustics.image_count_survey(model, axis, axis, samples=args.samples)
     y1, y2 = np.meshgrid(result.y1, result.y2)
     cols = (y1, y2, result.counts, result.near_caustic.astype(int))
-    write_csv(args.out, ["y1", "y2", "count", "near_caustic"],
-              list(zip(*(c.ravel().tolist() for c in cols))))
-    if args.svg:
-        # not np.unique: it imports numpy.ma, 1.6 MB of RSS for one call
-        series = [Series(y1[result.counts == c].tolist(), y2[result.counts == c].tolist(),
-                         label=f"count {c}") for c in sorted(set(result.counts.ravel().tolist()))]
-        emit_svg(series, args.svg, title="image multiplicity",
-                 equal_aspect=True, x_label="y1", y_label="y2")
+    rows = list(zip(*(c.ravel().tolist() for c in cols)))
+    # not np.unique: it imports numpy.ma, 1.6 MB of RSS for one call
+    return ["y1", "y2", "count", "near_caustic"], rows, lambda: (
+        [Series(y1[result.counts == c].tolist(), y2[result.counts == c].tolist(),
+                label=f"count {c}") for c in sorted(set(result.counts.ravel().tolist()))],
+        dict(title="image multiplicity", equal_aspect=True, x_label="y1", y_label="y2"))
 
 
 def _or_na(errors, fn, *args):
@@ -246,24 +156,21 @@ def _cmd_spherical_report(args):
             ["capacity_r0", _or_na(DomainError, sph.radial_capacity, profile, r0)],
             ["hawking_r0", sph.hawking_mass_sphere(profile, r0)],
             ["scalar_curvature_r0", sph.scalar_curvature(profile, r0)]]
-    write_csv(args.out, ["quantity", "value"], rows)
-    if args.svg:
+
+    def plot():
         rs = np.geomspace(max(profile.r_min * 1.01, 1e-3), 100.0, 200)
-        emit_svg([Series(rs.tolist(), sph.hawking_mass_sphere(profile, rs).tolist(),
-                         label="m_H(r)")],
-                 args.svg, title="Hawking mass", x_label="r", y_label="m_H")
+        return ([Series(rs.tolist(), sph.hawking_mass_sphere(profile, rs).tolist(),
+                        label="m_H(r)")],
+                dict(title="Hawking mass", x_label="r", y_label="m_H"))
+    return ["quantity", "value"], rows, plot
 
 
 def _cmd_imcf_flow(args):
-    profile = _profile_from_args(args)
-    trace = imcf.imcf_flow(profile, args.r0, args.t_end)
-    rows = [[s.t, s.r, s.area, s.mean_curvature, s.hawking]
-            for s in trace.states]
-    write_csv(args.out, ["t", "r", "area", "H", "m_H"], rows)
-    if args.svg:
-        emit_svg([Series([s.t for s in trace.states],
-                         [s.hawking for s in trace.states], label="m_H(t)")],
-                 args.svg, title="IMCF Hawking mass", x_label="t", y_label="m_H")
+    states = imcf.imcf_flow(_profile_from_args(args), args.r0, args.t_end).states
+    rows = [[s.t, s.r, s.area, s.mean_curvature, s.hawking] for s in states]
+    return ["t", "r", "area", "H", "m_H"], rows, lambda: (
+        [Series([s.t for s in states], [s.hawking for s in states], label="m_H(t)")],
+        dict(title="IMCF Hawking mass", x_label="t", y_label="m_H"))
 
 
 def _cmd_weyl_zv(args):
@@ -285,30 +192,74 @@ def _cmd_weyl_zv(args):
              weyl.level_set_energy(zv, rho) if zv.m != 0.0 else None,
              flux, res.harmonic, res.mu_rho_eq, res.mu_z_eq,
              exp_area, exp_obs, exp_energy, classification] for rho in rhos]
-    write_csv(args.out,
-              ["rho", "area", "energy", "adm_flux", "res_harmonic",
-               "res_mu_rho", "res_mu_z", "area_exponent_bulk",
-               "area_exponent_observed", "energy_exponent", "classification"],
-              rows)
-    if args.svg:
-        emit_svg([Series([math.log10(r) for r in rhos],
-                         [math.log10(row[1]) for row in rows],
-                         label="log10 area")],
-                 args.svg, title="cylinder areas", x_label="log10 rho",
-                 y_label="log10 area")
+    header = ["rho", "area", "energy", "adm_flux", "res_harmonic", "res_mu_rho", "res_mu_z",
+              "area_exponent_bulk", "area_exponent_observed", "energy_exponent",
+              "classification"]
+    return header, rows, lambda: (
+        [Series([math.log10(r) for r in rhos], [math.log10(row[1]) for row in rows],
+                label="log10 area")],
+        dict(title="cylinder areas", x_label="log10 rho", y_label="log10 area"))
 
 
-_DISPATCH = {
-    "lens-images": _cmd_lens_images,
-    "lens-lightcurve": _cmd_lens_lightcurve,
-    "lens-critical": _cmd_lens_curve,
-    "lens-caustics": _cmd_lens_curve,
-    "lens-cusps": _cmd_lens_cusps,
-    "lens-survey": _cmd_lens_survey,
-    "spherical-report": _cmd_spherical_report,
-    "imcf-flow": _cmd_imcf_flow,
-    "weyl-zv": _cmd_weyl_zv,
+# subcommand -> (body, {option: (type, default)}); each also takes --out,
+# --svg and --config
+_COMMANDS = {
+    "lens-images": (_cmd_lens_images, {**_LENS, "theta": (float, 0.0), "y": (str, REQUIRED)}),
+    "lens-lightcurve": (_cmd_lens_lightcurve, {
+        "m": (float, REQUIRED), "d": (float, REQUIRED), "t0": (float, -5.0),
+        "t1": (float, 5.0), "n": (int, 101)}),
+    "lens-critical": (_cmd_lens_curve, _CURVE),
+    "lens-caustics": (_cmd_lens_curve, _CURVE),
+    "lens-cusps": (_cmd_lens_cusps, _LENS),
+    "lens-survey": (_cmd_lens_survey, {
+        **_LENS, "y": (str, "-4,4"), "n": (int, 41), "samples": (int, 8192)}),
+    "spherical-report": (_cmd_spherical_report, {**_COMMON_PROFILE, "r0": (float, 1.0)}),
+    "imcf-flow": (_cmd_imcf_flow, {
+        **_COMMON_PROFILE, "r0": (float, REQUIRED), "t-end": (float, REQUIRED)}),
+    "weyl-zv": (_cmd_weyl_zv, {
+        "m": (float, REQUIRED), "a": (float, 1.0), "radius": (float, 5.0),
+        "rho": (float, 1e-3)}),
 }
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="negmass",
+        description="Negative point-mass lensing and geometry toolkit")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_body, options) in _COMMANDS.items():
+        p = sub.add_parser(name)
+        common = {"out": (str, f"{name}.csv"), "svg": (str, None), "config": (str, None)}
+        for opt, (typ, default) in {**options, **common}.items():
+            p.add_argument(f"--{opt}", type=typ, default=default,
+                           required=default is REQUIRED)
+    return parser
+
+
+def _config_flags(argv) -> list[str]:
+    """The --config file's ``key = value`` lines as ``--key=value`` flags.
+
+    A parser that knows only --config finds the file, so that abbreviations
+    such as --conf work as they do on the full parser.
+    """
+    finder = argparse.ArgumentParser(prog="negmass", add_help=False)
+    finder.add_argument("--config")
+    path = finder.parse_known_args(argv)[0].config
+    if path is None:
+        return []
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [raw.split("#", 1)[0].strip() for raw in fh]
+    except OSError as exc:
+        raise ValidationError(f"cannot read config {path}: {exc}") from exc
+    flags = []
+    for lineno, line in enumerate(lines, start=1):
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if line and (not eq or key == "config"):
+            raise ValidationError(f"{path}:{lineno}: expected 'key = value', key not config")
+        if line:
+            flags.append(f"--{key}={value}")
+    return flags
 
 
 def _join_negative_values(argv):
@@ -328,15 +279,20 @@ def _join_negative_values(argv):
 
 
 def run(argv) -> int:
-    """Parse argv, run the subcommand, return the process exit code."""
-    parser = _build_parser()
+    """Parse argv, run the subcommand, write its table and plot; return the exit code."""
+    argv = _join_negative_values(list(argv))
     try:
-        args = parser.parse_args(_join_negative_values(list(argv)))
-    except SystemExit as exc:
+        # config flags go right after the subcommand, so the command line's own win
+        args = _build_parser().parse_args([*argv[:1], *_config_flags(argv), *argv[1:]])
+        header, rows, plot = _COMMANDS[args.command][0](args)
+        write_csv(args.out, header, rows)
+        if args.svg and plot is None:
+            print(f"{args.command}: nothing to plot; skipping SVG", file=sys.stderr)
+        elif args.svg:
+            series, options = plot()
+            emit_svg(series, args.svg, **options)
+    except SystemExit as exc:  # argparse has printed its error
         return int(exc.code if exc.code is not None else 2)
-    try:
-        _resolve_options(args, args.command)
-        _DISPATCH[args.command](args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

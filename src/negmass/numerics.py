@@ -36,9 +36,10 @@ def _newton(fun, x, lo, hi):
     and either below 1e-4 of the step before it or at rounding level
     (1e-15 x).  Quadratic convergence leaves an error of about
     s^3 / s_prev^2 <= 1e-8 s; a bare 1e-9 x test would leave s^2 / w on a
-    feature of width w, short of rounding level when w is narrow.
+    feature of width w, short of rounding level when w is narrow.  A step back to
+    the iterate before, rounding's hop between two floats at the root, stops too.
     """
-    prev = 0.0
+    prev, back = 0.0, np.nan
     for _ in range(60):
         val, slope = fun(x)
         lo = np.where(val < 0.0, x, lo)
@@ -46,9 +47,10 @@ def _newton(fun, x, lo, hi):
         new = x - val / slope
         new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
         step = np.abs(new - x)
-        if ((step <= 1e-9 * new) & ((step <= 1e-4 * prev) | (step <= 1e-15 * new))).all():
+        done = (step <= 1e-4 * prev) | (step <= 1e-15 * new) | (new == back)
+        if ((step <= 1e-9 * new) & done).all():
             return new
-        x, prev = new, step
+        x, prev, back = new, step, x
     raise NonConvergenceError("safeguarded Newton iteration did not converge")
 
 

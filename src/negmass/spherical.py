@@ -236,10 +236,10 @@ class PowerLawProfile(RadialProfile):
         head = np.array([k * r ** p, k * p * r ** (p - 1.0),
                          k * p * (p - 1.0) * r ** (p - 2.0)])
         flat = np.array([FOUR_PI * r * r, 2.0 * FOUR_PI * r, np.full_like(r, 2.0 * FOUR_PI)])
-        d0, d1, d2 = flat - head
-        blend = head + np.array([w * d0, dw * d0 + w * d1, d2w * d0 + 2.0 * dw * d1 + w * d2])
-        # A as (1 - w) head + w flat: head + w d0 cancels where head >> flat (large p)
-        blend[0] = (1.0 - t) ** 3 * (1.0 + 3.0 * t + 6.0 * t * t) * head[0] + w * flat[0]
+        # (1 - w) head + w flat, not head + w (flat - head), which cancels where head >> flat
+        d0, d1, _ = flat - head
+        blend = (1.0 - t) ** 3 * (1.0 + 3.0 * t + 6.0 * t * t) * head + w * flat
+        blend[1:] += [dw * d0, d2w * d0 + 2.0 * dw * d1]
         A, dA, d2A = np.where(r <= g, head, np.where(r >= 2.0 * g, flat, blend))
         return _floats(A, dA, d2A)
 
@@ -442,7 +442,8 @@ def regular_mass(profile: RadialProfile) -> float:
     steady (say, one straddling a profile's blend) moves down by 2^-4, at most ten
     times and never below ``inner_edge``; then NonConvergenceError is raised.
     DomainError where the areas and A' both stay off 0: a boundary sphere, not a
-    zero area singularity (a horizon, A' -> 0, keeps its limit 0).
+    zero area singularity (a horizon, A' -> 0, keeps its limit 0).  The integrand is
+    never positive, so a limit extrapolated above 0 (error around 0) returns 0.
     """
     if profile.r_min != 0.0:
         raise DomainError("regular mass needs the singular end at r = 0")
@@ -453,7 +454,7 @@ def regular_mass(profile: RadialProfile) -> float:
             raise DomainError(f"nonzero area at r = 0 ({A[-1]:.6g}): not a zero area singularity")
         vals = (-(Ap * Ap) / (64.0 * math.pi ** 1.5 * np.sqrt(A))).tolist()
         try:
-            return ladder_limit(vals, 1e-12 * max(abs(v) for v in vals))
+            return min(ladder_limit(vals, 1e-12 * max(abs(v) for v in vals)), 0.0)
         except NonConvergenceError:
             h /= 16.0
             if moves == 10 or h / 8.0 < profile.inner_edge:

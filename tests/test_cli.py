@@ -411,9 +411,9 @@ def test_cli_config_merge(tmp_path):
                    encoding="utf-8")
     out = tmp_path / "lc.csv"
     # the config supplies the required --m; --n on the command line wins
-    # over the config's n = 11
+    # over the config's n = 11; --conf abbreviates --config
     assert run(["lens-lightcurve", "--n", "5",
-                "--config", str(cfg), "--out", str(out)]) == 0
+                "--conf", str(cfg), "--out", str(out)]) == 0
     _, rows = read_csv(out)
     assert len(rows) == 5
     assert rows[0][0] == -2.0 and rows[-1][0] == 2.0

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from negmass.errors import DomainError, NumericalError
@@ -34,6 +34,8 @@ def test_area_growth_exactly_exponential():
 
 @settings(max_examples=40, deadline=None)
 @given(st.floats(-3.0, -0.2), st.floats(0.05, 5.0), st.floats(0.5, 8.0))
+# rounding in A made the Newton solve for r(t) hop between two floats
+@example(m=-2.7404693127446853, r0=0.05, t_end=1.0)
 def test_area_law_and_mass_on_schwarzschild_slices(m, r0, t_end):
     # the exact flow keeps A e^{-t} = A0 to rounding and m_H = m on a scalar-flat slice
     trace = imcf_flow(ConformalSchwarzschildProfile(m), r0, t_end)

@@ -3,12 +3,13 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from negmass.errors import DomainError, NonConvergenceError, NumericalError, ValidationError
-from negmass.spherical import (ConformalProfile, ConformalSchwarzschildProfile,
+from negmass.spherical import (FOUR_PI, ConformalProfile, ConformalSchwarzschildProfile,
                                CustomProfile, FlatProfile, MassReport, PowerLawProfile,
                                TabulatedProfile, adm_mass, apply_harmonic_conformal,
                                bump_profile, capacity_center, classify_power_law,
@@ -85,6 +86,21 @@ def _power_law_reference(k, p, r):
             h[2] + d2w * d[0] + 2 * dw * d[1] + w * d[2])
 
 
+def _power_law_blend_exact(prof, r):
+    """The blend at r in rationals, from the profile's own floats k, r_glue
+    and FOUR_PI and its integer p: (A, A', A'') exact for those inputs."""
+    k, g, c, p, r = (Fraction(prof.k), Fraction(prof.r_glue), Fraction(FOUR_PI),
+                     int(prof.p), Fraction(r))
+    t = r / g - 1
+    w = t ** 3 * (10 - 15 * t + 6 * t * t)
+    dw = 30 * t * t * (1 - t) ** 2 / g
+    d2w = 60 * t * (1 - 3 * t + 2 * t * t) / g ** 2
+    h = (k * r ** p, k * p * r ** (p - 1), k * p * (p - 1) * r ** (p - 2))
+    d = [f - hh for f, hh in zip((c * r * r, 2 * c * r, 2 * c), h)]
+    return (h[0] + w * d[0], h[1] + dw * d[0] + w * d[1],
+            h[2] + d2w * d[0] + 2 * dw * d[1] + w * d[2])
+
+
 def test_power_law_eval_matches_piecewise_reference():
     for k, p in ((3.0, 0.5), (5.0, 1.2), (2.0, 2.5)):
         prof = PowerLawProfile(k, p)
@@ -93,6 +109,15 @@ def test_power_law_eval_matches_piecewise_reference():
         for i, r in enumerate(radii):
             assert [a[i] for a in arrays] == pytest.approx(
                 _power_law_reference(k, p, r), rel=1e-13)
+    # steep blends, where head >> flat: A' formed as head' + dw (flat - head)
+    # + w (flat' - head') was 3.5e-9 off at (3, 20) and t = 0.9999
+    for k, p in ((3.0, 20), (1.0, 12)):
+        prof = PowerLawProfile(k, p)
+        radii = prof.r_glue * (1.0 + np.array([0.5, 0.9, 0.99, 0.999, 0.9999]))
+        for r, got in zip(radii, np.transpose(prof.eval(radii))):
+            rel = [abs(Fraction(float(a)) / b - 1) for a, b in
+                   zip(got, _power_law_blend_exact(prof, r))]
+            assert rel[0] <= 1e-13 and rel[1] <= 1e-12 and rel[2] <= 1e-11, (k, p, r, rel)
     head, tail = PowerLawProfile(3.0, 0.5).eval(np.array([0.1, 1.0]))[0]
     assert head == 3.0 * 0.1 ** 0.5
     assert tail == 4 * math.pi
@@ -282,6 +307,7 @@ def test_regular_mass_power_law_sweep(k):
         except DomainError:
             assert abs(p - 2.0) < 0.01  # glue radius outside [2^-500, 2^500]
             continue
+        assert value <= 0.0, p
         if p < 4 / 3:
             assert value == -math.inf, p
         else:
