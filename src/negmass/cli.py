@@ -249,16 +249,16 @@ def _config_flags(argv) -> list[str]:
         return []
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [raw.split("#", 1)[0].strip() for raw in fh]
+            lines = [(lineno, text) for lineno, raw in enumerate(fh, start=1)
+                     if (text := raw.split("#", 1)[0].strip())]
     except OSError as exc:
         raise ValidationError(f"cannot read config {path}: {exc}") from exc
     flags = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in lines:
         key, eq, value = (part.strip() for part in line.partition("="))
-        if line and (not eq or key == "config"):
+        if not eq or key == "config":
             raise ValidationError(f"{path}:{lineno}: expected 'key = value', key not config")
-        if line:
-            flags.append(f"--{key}={value}")
+        flags.append(f"--{key}={value}")
     return flags
 
 
