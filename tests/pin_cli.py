@@ -12,7 +12,8 @@ positive-mass report at r0 = 1e-5, whose capacity needs the far end of the
 capacity integral at r = 2^40, and one power-law report at r0 = 13, just
 above the blend into flat space at r = 12.63, where the capacity is exactly
 13 only if the integral of 4 pi/A resolves the blend's end.  Each call runs in process through
-``negmass.cli.run``; it needs numpy alone.  ``moved`` says how cells compare.
+``negmass.cli.run`` with --svg too, so every plot is drawn (SVGs are not
+pinned); it needs numpy alone.  ``moved`` says how cells compare.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ ABS_TOL = {"residual": 1e-14, "res_harmonic": 1e-7, "res_mu_rho": 1e-8, "res_mu_
 def run_call(argv, out_dir) -> str:
     """CSV text that one call writes; raises if the call fails."""
     out = Path(out_dir) / "out.csv"
-    code = run([*argv, "--out", str(out)])
+    code = run([*argv, "--out", str(out), "--svg", str(out.with_suffix(".svg"))])
     if code != 0:
         raise RuntimeError(f"negmass {' '.join(argv)} exited with {code}")
     return out.read_text(encoding="utf-8")
@@ -123,7 +124,8 @@ def moved(expected: str, actual: str) -> list[str]:
                 if diff > ABS_TOL[col]:
                     out.append(f"row {i} {col}: {a} != {e} (abs {diff:.3g})")
             elif diff > REL_TOL * abs(x):
-                out.append(f"row {i} {col}: {a} != {e} (rel {diff / abs(x):.3g})")
+                rel = diff / abs(x) if x else math.inf
+                out.append(f"row {i} {col}: {a} != {e} (rel {rel:.3g})")
     return out
 
 

@@ -22,4 +22,5 @@ def test_moved_cells_are_reported():
     assert moved(expected, "x,residual,label\n1,1e-16,0\n2,0,a\n") == [
         "row 1 label: 0 != NA"]
     assert moved(expected, "x,residual,label\n1,1e-16,NA\n") == ["1 rows != 2"]
+    assert moved("x\n0\n", "x\n5e-30\n") == ["row 1 x: 5e-30 != 0 (rel inf)"]
     assert moved(expected, "x,res,label\n1,1e-16,NA\n2,0,a\n")[0].startswith("header")
