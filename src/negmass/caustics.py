@@ -12,8 +12,9 @@ and for m* < 0 the critical curves are
 Caustics are their images under the full lens map.  Cusps are the
 angles where, additionally, the directional derivative of the map along
 Z = 2i dJ/dconj(z) vanishes; writing w = 1 - gamma* e^{-i phi}, they are
-the angles with w^3 real and of sign opposite to eps.  Both the closed
-form and its numerical check read w^3 from w itself (``_w3``).
+the angles with w^3 real and of sign opposite to eps.  The closed form
+reads w^3 from w itself (``_w3``), as does the grid scan that tests
+check it against.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .errors import (BoundaryRegimeError, DegenerateKappaError, DomainError,
 from .lens import LensModel, _eta_b, _rotated, find_images, lens_map
 
 GAP_TOL = 1e-9  # |e^{-i phi} - gamma*| below this is a parametrization gap
-SCAN_RESOLUTION = 10 ** 4  # phi grid on which scan_cusps brackets the cusps
 _NAN = complex(math.nan, math.nan)  # z and y at a gap
 
 
@@ -219,53 +219,6 @@ def cusp_angles(reduced: ReducedLens) -> CuspSet:
             raise NumericalError(f"closed-form cusp {lab} fails the numerical condition")
     selected.sort()
     return CuspSet(tuple(selected), 2 * len(selected), regime, reduced.eps_kappa)
-
-
-def _sign_changes(fun, phis: np.ndarray) -> np.ndarray:
-    """Zeros of fun on the circle: the sorted angles where it vanishes, and
-    one root per cell of phis (wrapping past 2pi) where it changes sign,
-    all cells bisected together to 1e-13."""
-    two_pi = 2.0 * math.pi
-    vals = fun(phis)
-    bracket = vals * np.roll(vals, -1) < 0.0
-    lo, flo = phis[bracket], vals[bracket]
-    hi = np.append(phis[1:], phis[0] + two_pi)[bracket]
-    while (hi - lo > 1e-13 * np.maximum(1.0, hi)).any():
-        mid = 0.5 * (lo + hi)
-        fmid = fun(mid)
-        left = flo * fmid <= 0.0  # the sign change lies in [lo, mid]
-        lo, flo = np.where(left, lo, mid), np.where(left, flo, fmid)
-        hi = np.where(left, mid, hi)
-    return np.sort(np.concatenate((phis[vals == 0.0], 0.5 * (lo + hi) % two_pi)))
-
-
-def scan_cusps(reduced: ReducedLens) -> list[float]:
-    """Locate cusps from w^3 alone (no closed form, no factorization).
-
-    Brackets Im(w^3) on SCAN_RESOLUTION uniform angles and on the zeros
-    of its slope, found on the same grid, which split two roots that
-    share a cell (gamma* just above sqrt(3)/2).  Keeps the angles whose
-    Re(w^3) has sign opposite to eps.  Only tests call it, as the
-    numerical check of the closed-form cusps of ``cusp_angles``.
-    """
-    g = reduced.gamma_star
-    if g == 0.0:
-        return []
-
-    def slope(phi):  # d Im(w^3)/dphi = Im(3 w^2 dw/dphi), w = 1 - e, dw/dphi = i e
-        e = g * np.exp(-1j * phi)
-        return (3j * e * (1.0 - e) ** 2).imag
-
-    grid = np.linspace(0.0, 2.0 * math.pi, SCAN_RESOLUTION, endpoint=False)
-    phis = np.sort(np.concatenate((grid, _sign_changes(slope, grid))))
-    roots = _sign_changes(lambda phi: _w3(phi, g).imag, phis)
-    re = _w3(roots, g).real
-    found: list[float] = []
-    for root in roots[(re != 0.0) & ((re > 0) != (reduced.eps_kappa > 0))].tolist():
-        if all(abs(root - r) > 1e-6 and abs(abs(root - r) - 2.0 * math.pi) > 1e-6
-               for r in found):
-            found.append(root)
-    return found
 
 
 @dataclass(frozen=True)

@@ -126,20 +126,6 @@ def _image_position(x, model: LensModel, what: str) -> complex:
     return z
 
 
-def surface_potential(x, model: LensModel) -> float:
-    """Dimensionless surface potential psi(x) of the combined lens."""
-    z = _image_position(x, model, "potential")
-    x1, x2 = z.real, z.imag
-    val = 0.5 * model.kappa * (x1 * x1 + x2 * x2)
-    if model.m != 0.0:
-        val += model.m * math.log(abs(z))
-    if model.gamma != 0.0:
-        c2t = math.cos(2.0 * model.theta)
-        s2t = math.sin(2.0 * model.theta)
-        val -= 0.5 * model.gamma * ((x1 * x1 - x2 * x2) * c2t + 2.0 * x1 * x2 * s2t)
-    return _finite(val, z, "potential")
-
-
 def _eta_b(z, model: LensModel):
     """(eta, b = d eta/d conj(z) = G + m/conj(z)^2) at a complex or a complex ndarray z.
 
@@ -370,21 +356,3 @@ def light_curve(m: float, d: float, times) -> list[LightCurveSample]:
     if not all(map(math.isfinite, (m, d, *times))):
         raise ValidationError("light curve needs finite m, d and times")
     return [LightCurveSample(t, _total_magnification(math.hypot(d, t), m)) for t in times]
-
-
-def fermat_gradient(x, y, model: LensModel) -> tuple[float, float]:
-    """Central-difference gradient (step 1e-6) of the Fermat potential at x.
-
-    Only tests call it, as the oracle that images are stationary points of
-    the arrival time; it is built on ``surface_potential``, not the lens map.
-    """
-    xv = _as_point(x)
-    yv = _as_point(y)
-    step = 1e-6
-
-    def tau(p):
-        return 0.5 * abs(p - yv) ** 2 - surface_potential(p, model)
-
-    gx = (tau(xv + step) - tau(xv - step)) / (2.0 * step)
-    gy = (tau(xv + 1j * step) - tau(xv - 1j * step)) / (2.0 * step)
-    return gx, gy

@@ -1,11 +1,11 @@
 """Shared numerical kernels: quadrature, bracketed Newton, limit extraction.
 
 Everything here is deterministic and dependency-light.  Checked
-quadrature has one accept/halve loop, ``checked_panels``, which serves
-``end_integral`` and each spherical profile's table of 4 pi/A.  Both
-mass limits, ADM (h = 1/r) and central (h = r), run on
-``ladder_limit``: four samples a factor 2 apart, one rule for settled,
-steady and divergent ladders, and an error otherwise.
+quadrature has one accept/halve loop, ``checked_panels``, which builds
+each spherical profile's table of 4 pi/A; ``_power_tail`` closes the
+table at both ends.  Both mass limits, ADM (h = 1/r) and central
+(h = r), run on ``ladder_limit``: four samples a factor 2 apart, one
+rule for settled, steady and divergent ladders, and an error otherwise.
 """
 
 from __future__ import annotations
@@ -113,21 +113,6 @@ def checked_panels(h, lo, hi):
     lo, hi, g, fine = (np.concatenate(c) for c in zip(*done))
     order = np.argsort(lo)
     return lo[order], hi[order], g[order], fine[order]
-
-
-def end_integral(h, b: float, stop: float = 0.0) -> float:
-    """int_0^b h(u) du for a vectorized h that may be singular at u = 0.
-
-    ``checked_panels`` on the octaves [b 2^-k-1, b 2^-k] down to 2^-40 min(1, b)
-    or ``stop`` (the least u where h is defined), and ``_power_tail`` below:
-    exact for h ~ u^-q, +-inf for q >= 1 - 1e-6.
-    """
-    far = max(2.0 ** -40 * min(1.0, b), stop)
-    if not (0.0 < b < math.inf and b >= 2.0 * far):
-        raise NumericalError("end integral needs 0 < b < inf and b >= 2 stop")
-    edges = b * 2.0 ** -np.arange(math.floor(math.log2(b / far)) + 1.0)
-    u = edges[:-3:-1]
-    return float(checked_panels(h, edges[1:], edges[:-1])[3].sum()) + _power_tail(u, h(u))
 
 
 def dyadic_gauss(f, lo: float, hi: float, inner: float) -> float:

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,7 @@ from numpy.polynomial.legendre import legint, legvander
 from .errors import DomainError, NonConvergenceError, NumericalError, ValidationError
 from .numerics import (_floats, _newton, _power_tail, checked_panels, gauss_nodes,
                        ladder_limit)
+from .tableio import read_csv
 
 FOUR_PI = 4.0 * math.pi
 MINUS_INFINITY = -math.inf
@@ -361,28 +363,16 @@ class TabulatedProfile(RadialProfile):
 
 
 def parse_profile_file(path) -> TabulatedProfile:
-    """Strict reader for the tabulated format: header 'r,A', comma rows, ascending r."""
-    rs, As = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "r,A":
-            raise ValidationError(f"expected header 'r,A', got {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ValidationError(f"line {lineno}: expected two columns")
-            try:
-                r, a = float(parts[0]), float(parts[1])
-            except ValueError as exc:
-                raise ValidationError(f"line {lineno}: {exc}") from exc
-            if not (math.isfinite(r) and math.isfinite(a)):
-                raise ValidationError(f"line {lineno}: non-finite value")
-            rs.append(r)
-            As.append(a)
-    return TabulatedProfile(rs, As)
+    """Strict reader for the tabulated format: header 'r,A', then rows of two
+    finite numbers with ascending r, parsed by ``tableio.read_csv``."""
+    header, rows = read_csv(path)
+    if header != ["r", "A"]:
+        raise ValidationError(f"expected header 'r,A', got {','.join(header)!r}")
+    for i, row in enumerate(rows, start=1):
+        if not (len(row) == 2 and all(isinstance(c, float) and math.isfinite(c) for c in row)):
+            cells = ",".join("NA" if c is None else str(c) for c in row)
+            raise ValidationError(f"row {i}: expected two finite numbers, got {cells!r}")
+    return TabulatedProfile([r for r, _ in rows], [a for _, a in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -438,9 +428,11 @@ def regular_mass(profile: RadialProfile) -> float:
     """Mass of the central singularity: lim_{r->0} of -A'^2 / (64 pi^{3/2} sqrt(A)).
 
     ``ladder_limit`` of that integrand at r = h, h/2, h/4, h/8 from h = max(1e-6,
-    8 ``inner_edge``).  Divergence returns the -inf marker.  A ladder that is not
-    steady (say, one straddling a profile's blend) moves down by 2^-4, at most ten
-    times and never below ``inner_edge``; then NonConvergenceError is raised.
+    8 ``inner_edge``), doubled (at most 20 times, else NumericalError) until A(h/8)
+    is a normal float, as the integrand would be 0/0 where A underflows.
+    Divergence returns the -inf marker.  A ladder that is not steady (say, one
+    straddling a profile's blend) moves down by 2^-4, at most ten times and never
+    below ``inner_edge`` or where A underflows; then NonConvergenceError is raised.
     DomainError where the areas and A' both stay off 0: a boundary sphere, not a
     zero area singularity (a horizon, A' -> 0, keeps its limit 0).  The integrand is
     never positive, so a limit extrapolated above 0 (error around 0) returns 0.
@@ -448,6 +440,11 @@ def regular_mass(profile: RadialProfile) -> float:
     if profile.r_min != 0.0:
         raise DomainError("regular mass needs the singular end at r = 0")
     h = max(1e-6, 8.0 * profile.inner_edge)
+    rises = 0
+    while profile.area(h / 8.0) < sys.float_info.min:
+        if rises == 20:
+            raise NumericalError(f"areas underflow on the central ladder up to r = {h / 8.0:.3g}")
+        h, rises = 2.0 * h, rises + 1
     for moves in range(11):
         A, Ap, _ = profile.eval(h / 2.0 ** np.arange(4))
         if _stays_off_zero(A) and _stays_off_zero(Ap):
@@ -457,7 +454,8 @@ def regular_mass(profile: RadialProfile) -> float:
             return min(ladder_limit(vals, 1e-12 * max(abs(v) for v in vals)), 0.0)
         except NonConvergenceError:
             h /= 16.0
-            if moves == 10 or h / 8.0 < profile.inner_edge:
+            if (moves == 10 or h / 8.0 < profile.inner_edge
+                    or profile.area(h / 8.0) < sys.float_info.min):
                 raise
 
 

@@ -1,9 +1,10 @@
-"""CSV emission with bit-exact float round-tripping.
+"""CSV emission and parsing with bit-exact float round-tripping.
 
 Tables are rectangular; floats render with repr-faithful 17 significant
 digits, absent values as the literal token NA, and rows end with Unix
 newlines.  Nothing time- or environment-dependent ever enters a table,
-so identical runs produce identical bytes.
+so identical runs produce identical bytes.  ``read_csv`` parses the
+same format back.
 """
 
 from __future__ import annotations
@@ -54,13 +55,14 @@ def parse_cell(text: str):
 
 
 def read_csv(path):
-    """Reparse an emitted table: (header, rows) with floats/None/strings.
+    """Parse a table: (header, rows) with floats/None/strings.
 
-    Only tests read tables back; it lives beside the format it inverts
-    (the NA token, 17-digit floats) so that they need not learn it.
+    It reads profile files, and tests read the emitted tables back with it.
+    Lines are stripped of surrounding white space (so CRLF reads as LF), and
+    blank lines are skipped.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip() != ""]
+        lines = [ln.strip() for ln in fh if ln.strip() != ""]
     if not lines:
         raise ValidationError("empty table")
     header = lines[0].split(",")

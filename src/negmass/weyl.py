@@ -23,11 +23,12 @@ e^lam is identically 1, has no level sets, and its level L = 1 raises.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SingularPointError, ValidationError
+from .errors import DomainError, NumericalError, SingularPointError, ValidationError
 from .numerics import _floats, dyadic_gauss, gauss_panel
 
 SQRT33_ENDPOINT = (math.sqrt(33.0) - 3.0) / 4.0  # positive root of (2/3)x^2 + x - 1
@@ -186,18 +187,30 @@ def _layer_width(zv: ZVModel, rho: float) -> float:
     return min(1e-3 * rho, 1e-3 * zv.a)
 
 
+def _rod_integral(f, zv: ZVModel, inner: float, scale: float, what: str) -> float:
+    """scale * int_-a^a f dz by ``dyadic_gauss``, or NumericalError where the value
+    is not a normal double: inf or NaN where f overflows somewhere, 0 or a
+    subnormal where the value underflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = scale * dyadic_gauss(f, -zv.a, zv.a, inner)
+    if not sys.float_info.min <= value < math.inf:
+        raise NumericalError(f"{what} {value!r} leaves the double range (m/a = {zv.ratio:g})")
+    return value
+
+
 def cylinder_area(zv: ZVModel, rho: float) -> float:
     """Area 2 pi rho int_-a^a e^{mu - 2 lam} dz of the rho-cylinder around the rod.
 
     The integrand develops boundary layers of width ~rho at z = +-a, so
     the quadrature refines dyadically toward the rod ends; it needs
-    rho >= RHO_FLOOR * a.
+    rho >= RHO_FLOOR * a.  NumericalError where the integrand or the area
+    leaves the double range, as for |m|/a >> 1 near the rod.
     """
     def f(zs):
         lam, mu = zv_potentials(zv, rho, zs)
         return np.exp(mu - 2.0 * lam)
 
-    return 2.0 * math.pi * rho * dyadic_gauss(f, -zv.a, zv.a, _layer_width(zv, rho))
+    return _rod_integral(f, zv, _layer_width(zv, rho), 2.0 * math.pi * rho, "cylinder area")
 
 
 def cylinder_area_exponent(zv: ZVModel) -> float:
@@ -266,10 +279,16 @@ def level_set_energy(zv: ZVModel, rho: float, L: float | None = None) -> float:
     midplane is used, mirroring the level-set surfaces the cylinders
     approximate.  With m = 0, e^lam is identically 1 and has no level
     sets; the midplane value is then L = 1, which raises DomainError.
-    Like ``cylinder_area`` it needs rho >= RHO_FLOOR * a.
+    Like ``cylinder_area`` it needs rho >= RHO_FLOOR * a, and it raises
+    NumericalError where the midplane level, the integrand or the energy
+    leaves the double range.
     """
     inner = _layer_width(zv, rho)
     if L is None:
-        L = math.exp(zv_potentials(zv, rho, 0.0)[0])
-    return dyadic_gauss(lambda zs: level_set_mass_integrand(zv, rho, zs, L),
-                        -zv.a, zv.a, inner)
+        try:
+            L = math.exp(zv_potentials(zv, rho, 0.0)[0])
+        except OverflowError as exc:
+            raise NumericalError(
+                f"level e^lam overflows at rho = {rho!r} (m/a = {zv.ratio:g})") from exc
+    return _rod_integral(lambda zs: level_set_mass_integrand(zv, rho, zs, L), zv, inner,
+                         1.0, "level-set energy")

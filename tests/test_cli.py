@@ -398,6 +398,10 @@ def test_cli_numerical_error_exits_3(tmp_path, monkeypatch, capsys):
     assert run(["lens-lightcurve", "--m", "-1", "--d", "3",
                 "--out", str(tmp_path / "x.csv")]) == 3
     assert "did not settle" in capsys.readouterr().err
+    # a rod this massive has cylinder areas below the double range
+    assert run(["weyl-zv", "--m", "-1e6", "--a", "1", "--out", str(tmp_path / "x.csv")]) == 3
+    assert "double range" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_cli_unwritable_output_exits_3(tmp_path):

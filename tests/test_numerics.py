@@ -4,13 +4,18 @@ import numpy as np
 import pytest
 
 from negmass.errors import NonConvergenceError, NumericalError
-from negmass.numerics import (_power_tail, checked_panels, dyadic_gauss, end_integral,
-                              gauss_panel, ladder_limit)
+from negmass.numerics import _power_tail, dyadic_gauss, gauss_panel, ladder_limit
+from negmass.spherical import _PanelTable
+
+# checked_panels and _power_tail run through _PanelTable, their one caller: octaves
+# of r from 2^-64 to 2^64, halved until Gauss orders 24 and 48 agree, closed by
+# a power below the first panel (head) and above the last, in u = 1/r (tail)
 
 
 def tail(f, a):
-    """int_a^inf f(r) dr as ``end_integral`` in u = 1/r."""
-    return end_integral(lambda u: f(1.0 / u) / (u * u), 1.0 / a)
+    """int_a^inf f(r) dr: the table's panels above a and its tail."""
+    table = _PanelTable(f, 0.0, checked=True)
+    return float(table.tail - table.integral(a))
 
 
 def test_tail_integral_inverse_square():
@@ -18,35 +23,27 @@ def test_tail_integral_inverse_square():
     assert tail(lambda r: 1.0 / r ** 2, 2.0) == pytest.approx(0.5, rel=1e-10)
 
 
-def test_tail_integral_needs_positive_start():
-    # a tail from r = 0 has u running to infinity
-    with pytest.raises(NumericalError):
-        end_integral(lambda u: np.ones_like(u), math.inf)
-
-
 def test_tail_integral_log_tail():
-    # int_a^inf ln r / r^2 dr = (1 + ln a)/a; the u = 1/r integrand -ln u is unbounded
+    # int_a^inf ln r / r^2 dr = (1 + ln a)/a; in u = 1/r the tail's r^2 f = -ln u is unbounded
     for a in (0.01, 2.0, 50.0):
         assert tail(lambda r: np.log(r) / r ** 2, a) == pytest.approx(
             (1.0 + math.log(a)) / a, rel=1e-10)
 
 
 def test_tail_integral_closes_a_power_tail_exactly():
-    # the sliver below the last octave is int_0^u0 c u^-q du, not a rectangle
+    # the sliver above the last octave is int_0^u0 c u^-q du, not a rectangle
     assert tail(lambda r: r ** -1.5, 1.0) == pytest.approx(2.0, rel=1e-12)
-    assert tail(lambda r: 1.0 / r, 1.0) == math.inf
-    assert tail(lambda r: -r ** -0.9, 1.0) == -math.inf
+    assert _PanelTable(lambda r: 1.0 / r, 0.0, checked=True).tail == math.inf
+    assert _PanelTable(lambda r: -r ** -0.9, 0.0, checked=True).tail == -math.inf
 
 
-def test_end_integral_stops_at_its_inner_edge():
-    # h is unusable below stop; _power_tail closes int_0^stop u^-0.5 du exactly
-    def h(u):
-        assert (u >= 1e-3).all()
-        return u ** -0.5
-    assert end_integral(h, 1.0, 1e-3) == pytest.approx(2.0, rel=1e-12)
-    assert end_integral(lambda u: u ** -1.25, 1.0) == math.inf
-    with pytest.raises(NumericalError):
-        end_integral(h, 1.0, 0.6)
+def test_panel_table_closes_both_ends_exactly():
+    # int_0^inf r^-1/2 / (1 + r) dr = pi: the head below 2^-64 is the power
+    # r^-1/2 closed exactly (2^-31), and r^-5/4 gives an infinite head
+    table = _PanelTable(lambda r: r ** -0.5 / (1.0 + r), 0.0, checked=True)
+    assert table.head == pytest.approx(2.0 ** -31, rel=1e-12)
+    assert table.head - table.F[0] + table.tail == pytest.approx(math.pi, rel=1e-12)
+    assert _PanelTable(lambda r: r ** -1.25 / (1.0 + r), 0.0, checked=True).head == math.inf
 
 
 def test_power_tail_fits_two_end_values():
@@ -60,7 +57,8 @@ def test_power_tail_fits_two_end_values():
 
 
 def test_tail_integral_raises_when_orders_disagree():
-    # sin(1/u) oscillates without bound toward u = 0: orders n and 2n cannot agree
+    # sin r turns about 2^k / 2pi times on the octave [2^k, 2^(k+1)]: toward
+    # 2^64 orders 24 and 48 cannot agree on 4096 panels
     with pytest.raises(NonConvergenceError):
         tail(lambda r: np.sin(r) / r ** 2, 1.0)
 

@@ -2,9 +2,8 @@
 
 A public top-level name in src/negmass must be referenced somewhere
 else: by package code, by the README library tour, by the acceptance
-criteria or by the benchmark.  The names in TEST_ORACLES are the only
-exceptions.  Tests alone call them, as independent checks of a
-different code path, and each docstring says so.
+criteria or by the benchmark.  Prose elsewhere in README does not count,
+and checks that only tests run live in tests/oracles.py.
 """
 
 import ast
@@ -13,7 +12,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "negmass"
-TEST_ORACLES = {"fermat_gradient", "scan_cusps", "read_csv"}
 
 
 def _public_definitions():
@@ -43,10 +41,14 @@ def _names_used_in_src():
     return used
 
 
+def _library_tour():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return re.search(r"## Library tour\s+```python\n(.*?)```", readme, re.DOTALL).group(1)
+
+
 def _outside_text():
-    paths = [ROOT / "README.md", ROOT / "tests" / "test_acceptance.py",
-             *sorted((ROOT / "perfbench").glob("*.py"))]
-    return "\n".join(p.read_text(encoding="utf-8") for p in paths)
+    paths = [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").glob("*.py"))]
+    return "\n".join([_library_tour(), *(p.read_text(encoding="utf-8") for p in paths)])
 
 
 def test_every_public_name_has_a_user():
@@ -54,11 +56,8 @@ def test_every_public_name_has_a_user():
     text = _outside_text()
     unused = {name for name in _public_definitions()
               if name not in used and not re.search(rf"\b{name}\b", text)}
-    assert unused - TEST_ORACLES == set(), "public names only tests reach"
-    assert TEST_ORACLES - unused == set(), "oracles that gained a user or were removed"
+    assert unused == set(), "public names only tests reach"
 
 
 def test_readme_library_tour_runs():
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    tour = re.search(r"## Library tour\s+```python\n(.*?)```", readme, re.DOTALL)
-    exec(compile(tour.group(1), "README.md library tour", "exec"), {})
+    exec(compile(_library_tour(), "README.md library tour", "exec"), {})

@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -281,6 +282,17 @@ def test_regular_mass_power_law_exact_exponent():
 
 def test_regular_mass_zero_class():
     assert regular_mass(PowerLawProfile(7.0, 2.0)) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_regular_mass_zero_where_the_area_underflows():
+    # k r^p underflows to 0 at r = 1e-6/8 for these heads, so the ladder starts
+    # higher up instead of dividing 0 by 0; p > 4/3 puts the limit at 0
+    for k, p in ((3.0, 50.0), (1.0, 60.0)):
+        assert regular_mass(PowerLawProfile(k, p)) == 0.0
+    # an area below the normal range up to r = 0.13 gives no ladder at all
+    tiny = CustomProfile(lambda r: (1e-310 * r * r, 2e-310 * r, 2e-310))
+    with pytest.raises(NumericalError):
+        regular_mass(tiny)
 
 
 def test_regular_mass_divergent_marker():
@@ -636,6 +648,47 @@ def test_tabulated_rejects_nonmonotone_radius(tmp_path):
     path.write_text("r,A\n1.0,12.0\n0.9,12.5\n2.0,13.0\n3.0,14.0\n", encoding="utf-8")
     with pytest.raises(ValidationError):
         parse_profile_file(path)
+
+
+def _profile_text(rows, header="r,A", sep="\n"):
+    return sep.join([header, *rows]) + sep
+
+
+@pytest.mark.parametrize("case", ["lf", "crlf", "blank lines", "spaces around cells"])
+def test_profile_file_accepts_line_variants(tmp_path, case):
+    # every variant gives the knots and coefficients of the samples themselves
+    rs, As = _flat_samples()
+    rows = [f"{r!r},{a!r}" for r, a in zip(rs.tolist(), As.tolist())]
+    text = {"lf": _profile_text(rows),
+            "crlf": _profile_text(rows, sep="\r\n"),
+            "blank lines": _profile_text(["", rows[0], "", "  ", *rows[1:], ""]),
+            "spaces around cells": _profile_text(
+                [f" {r!r} , {a!r}\t" for r, a in zip(rs.tolist(), As.tolist())],
+                header="  r,A ")}[case]
+    path = tmp_path / "profile.csv"
+    path.write_bytes(text.encode("utf-8"))
+    prof, ref = parse_profile_file(path), TabulatedProfile(rs, As)
+    assert np.array_equal(prof._knots, ref._knots)
+    for got, want in zip(prof._coef, ref._coef):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("case, bad_row", [
+    ("1.0,NA", True), ("1.0,abc", True), ("1.0,2.0,3.0", True), ("1.0,inf", True),
+    ("bad header", False), ("header only", False), ("empty file", False)])
+def test_profile_file_rejects(tmp_path, case, bad_row):
+    rs, As = _flat_samples()
+    rows = [f"{r!r},{a!r}" for r, a in zip(rs.tolist(), As.tolist())]
+    text = {"bad header": _profile_text(rows, header="radius,area"),
+            "header only": _profile_text([]),
+            "empty file": ""}.get(case) or _profile_text([*rows[:2], case, *rows[2:]])
+    path = tmp_path / "profile.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValidationError) as err:
+        parse_profile_file(path)
+    if bad_row:
+        # the third data row, on the file's fourth line, is named by either count
+        assert re.search(r"\b(row 3|line 4)\b", str(err.value)), str(err.value)
 
 
 def test_tabulated_requires_endpoint_density():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from negmass.errors import DomainError, SingularPointError, ValidationError
+from negmass.errors import DomainError, NumericalError, SingularPointError, ValidationError
 from negmass.weyl import (RHO_FLOOR, SQRT33_ENDPOINT, ZVModel, adm_flux,
                           cylinder_area, cylinder_area_exponent, energy_exponent,
                           level_set_energy, level_set_mass_integrand,
@@ -181,6 +181,17 @@ def test_rod_quadratures_reject_rho_below_floor(m, rho):
     for f in (cylinder_area, level_set_energy):
         with pytest.raises(DomainError):
             f(zv, rho)
+
+
+@pytest.mark.parametrize("m", [-50.0, -1e6])
+def test_rod_quadratures_raise_outside_the_double_range(m):
+    # near a massive rod the area ~ rho^{(m/a - 1)^2} underflows to 0, and the
+    # energy's integrand (at m/a = -1e6 its level e^lam too) overflows to inf:
+    # a typed error, not a saturated value nor an OverflowError or RuntimeWarning
+    zv = ZVModel(m, 1.0)
+    for f in (cylinder_area, level_set_energy):
+        with pytest.raises(NumericalError):
+            f(zv, 1e-3)
 
 
 def test_cylinder_area_exponent_values():
