@@ -251,7 +251,7 @@ def _config_flags(argv) -> list[str]:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [(lineno, text) for lineno, raw in enumerate(fh, start=1)
                      if (text := raw.split("#", 1)[0].strip())]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read config {path}: {exc}") from exc
     flags = []
     for lineno, line in lines:

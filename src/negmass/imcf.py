@@ -29,11 +29,9 @@ from .errors import DomainError, NumericalError
 # spherical first: it compiles before numerics loads numpy.polynomial, which
 # keeps a cold import without cached bytecode 0.5 MB lower in peak RSS
 from .spherical import RadialProfile, _hawking, radial_capacity, scalar_curvature
-from .numerics import _newton
+from .numerics import TAIL_TOL, _newton, checked_panels, gauss_nodes
 
 GEROCH_TOL = 1e-8  # absolute slack absorbing rounding noise in the Hawking masses
-SCAN_POINTS = 64  # radii per doubling of r when scanning for where the flow stops
-RESOLVE_TOL = 1e-6  # relative miss of A's rise by the integral of A' that forces resampling
 STATES = 101  # evenly spaced times sampled by each trace
 _EPS = float(np.finfo(float).eps)
 
@@ -127,43 +125,50 @@ def imcf_flow(profile: RadialProfile, r0: float, t_end: float) -> FlowTrace:
 def _scan(profile: RadialProfile, r0: float, start: tuple, target: float):
     """Radii from r0 out to where the flow stops, with their areas.
 
-    Scans outward in chunks of SCAN_POINTS radii, each chunk doubling r
-    (or closing in on a finite r_max), until A reaches target or A'
-    drops to zero or below.  Between samples A' is watched two ways: an
-    interval whose rise in A disagrees with the integral of A' is
-    resampled (_unresolved), and an interval where A'' turns from
-    negative to nonnegative has its minimum of A' located; a minimum
-    that is zero to rounding, as at a tangential zero, is a horizon too.
-    Returns (rs, areas, halted) with rs[0] = r0 and A increasing on each
-    [rs[i], rs[i+1]].  The last radius either has A >= target or, with
-    halted set, is the horizon r_h, refined to rounding, with
-    A(r_h) < target.
+    Scans outward in steps that double r (or halve the gap to a finite
+    r_max) until A reaches target or A' drops to zero or below.  Each step
+    is laid with checked panels of A' (numerics.checked_panels), accepted
+    once Gauss orders 24 and 48 of its integral agree with each other and
+    with the rise of A, to TAIL_TOL of the integral of |A'| plus the
+    rounding of r and A: a dip of A' between nodes misses by about its
+    area.  Panels past the first node where the flow must have stopped are
+    taken as they are.  Over the order-24 nodes, an interval where A''
+    turns from negative to nonnegative has its minimum of A' located; a
+    minimum that is zero to rounding, as at a tangential zero, is a horizon
+    too.  Returns (rs, areas, halted) with rs[0] = r0 and A increasing on
+    each [rs[i], rs[i+1]].  The last radius either has A >= target or, with
+    halted set, is the horizon r_h, refined to rounding, with A(r_h) < target.
     """
+    w = gauss_nodes(48)[1]
+
+    def accept(a, b, g, fine, coarse):
+        nonlocal cut
+        if not np.isfinite(g).all():
+            raise NumericalError("non-finite area on the flow between r = "
+                                 f"{a.min()} and {b.max()}")
+        x, A, dA, _ = g
+        cut = x[(A >= target) | (dA <= 0.0)].min(initial=cut)
+        slope, curve = 0.5 * (b - a) * (abs(g[2:, :, 24:72]) @ w)  # of |A'| and |A''|
+        A_a, A_b = A[:, 72], A[:, 73]
+        tol = TAIL_TOL * slope + 8.0 * _EPS * (np.maximum(abs(a), abs(b)) * curve
+                                               + abs(A_a) + abs(A_b))
+        return (a >= cut) | ((abs(fine[2] - coarse[2]) <= tol) & (abs(A_b - A_a - fine[2]) <= tol))
+
     rs, areas = [], []
-    pts = tuple(np.array([v], dtype=float) for v in (r0, *start))
-    frac = np.arange(1, SCAN_POINTS + 1) / SCAN_POINTS
+    prev = np.array([[r0], *([v] for v in start)])  # (r, A, A', A'') of the last node
+    r = r0
     while True:
-        r = pts[0][-1]
-        end = min(r + (r if r > 0.0 else 1.0), profile.r_max)
+        end = min(r + (r if r > 0.0 else 1.0), 0.5 * (r + profile.r_max))
         if not math.isfinite(end):
             raise DomainError("the flow escapes to infinity before t_end")
-        chunk = r + (end - r) * frac
-        chunk = chunk[(chunk > r) & (chunk < profile.r_max)]
-        if not chunk.size:
+        if not r < end < profile.r_max:
             raise DomainError(f"the flow reaches r_max = {profile.r_max} before t_end")
-        pts = _insert([p[-1:] for p in pts], 1, chunk, profile)
-        while True:  # resample the first unresolved interval up to the first stop
-            x, A, dA, d2A = pts
-            stop = (A[1:] >= target) | (dA[1:] <= 0.0)
-            last = int(np.argmax(stop)) if stop.any() else stop.size - 1
-            coarse = _unresolved(*(p[:last + 2] for p in pts))
-            if not coarse.any():
-                break
-            k = int(np.argmax(coarse))
-            if x[k + 1] - x[k] <= x[k] / SCAN_POINTS ** 5:  # resampled four times over
-                raise NumericalError(f"A' disagrees with A near r = {x[k]}: the profile "
-                                     "is too rough to follow the flow")
-            pts = _insert(pts, k + 1, x[k] + (x[k + 1] - x[k]) * frac[:-1], profile)
+        cut = end
+        nodes = checked_panels(lambda x: np.array((x, *profile.eval(x))), r, end, accept)[2]
+        pts = np.hstack((prev, nodes.reshape(4, -1)))
+        x, A, dA, d2A = pts
+        stop = (A[1:] >= target) | (dA[1:] <= 0.0)
+        last = int(np.argmax(stop)) if stop.any() else stop.size - 1
         dips = np.flatnonzero((d2A[:last + 1] < 0.0) & (d2A[1:last + 2] >= 0.0))
         if dips.size:
             m, A_m, dA_m = _slope_minima(profile, x[dips], x[dips + 1])
@@ -181,28 +186,7 @@ def _scan(profile: RadialProfile, r0: float, start: tuple, target: float):
             return _halt(rs + [x[:last + 1]], areas + [A[:last + 1]], r_h, profile, target)
         rs.append(x[:-1])
         areas.append(A[:-1])
-
-
-def _insert(pts, k: int, xs: np.ndarray, profile: RadialProfile):
-    """The sampled (r, A, A', A'') arrays with the radii xs and their values put in at k."""
-    vals = profile.eval(xs)
-    if not all(np.isfinite(v).all() for v in vals):
-        raise NumericalError(f"non-finite area on the flow between r = {xs[0]} and {xs[-1]}")
-    return tuple(np.insert(p, k, v) for p, v in zip(pts, (xs, *vals)))
-
-
-def _unresolved(x, A, dA, d2A) -> np.ndarray:
-    """Intervals where the rise of A misses the integral of A' beyond RESOLVE_TOL.
-
-    The integral is the trapezoid rule with its A'' end correction
-    (Euler-Maclaurin), exact to O(h^5) where A' is smooth.  A dip of A'
-    that falls between two samples shows up as a gap of about its area.
-    """
-    h = np.diff(x)
-    rise = np.diff(A)
-    gap = rise - 0.5 * h * (dA[:-1] + dA[1:]) + h * h / 12.0 * (d2A[1:] - d2A[:-1])
-    scale = 0.5 * h * (np.abs(dA[:-1]) + np.abs(dA[1:]))
-    return np.abs(gap) > RESOLVE_TOL * scale + 16.0 * _EPS * np.abs(A[1:])
+        prev, r = pts[:, -1:], end
 
 
 def _slope_minima(profile: RadialProfile, lo: np.ndarray, hi: np.ndarray):

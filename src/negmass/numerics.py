@@ -2,10 +2,12 @@
 
 Everything here is deterministic and dependency-light.  Checked
 quadrature has one accept/halve loop, ``checked_panels``, which builds
-each spherical profile's table of 4 pi/A; ``_power_tail`` closes the
-table at both ends.  Both mass limits, ADM (h = 1/r) and central
-(h = r), run on ``ladder_limit``: four samples a factor 2 apart, one
-rule for settled, steady and divergent ladders, and an error otherwise.
+each spherical profile's table of 4 pi/A and, with its own acceptance
+test, lays the IMCF scan for where the flow stops; ``_power_tail``
+closes the table at both ends.  Both mass limits, ADM (h = 1/r) and
+central (h = r), run on ``ladder_limit``: four samples a factor 2 apart,
+one rule for settled, steady and divergent ladders, and an error
+otherwise.
 """
 
 from __future__ import annotations
@@ -92,27 +94,38 @@ def _power_tail(u, g) -> float:
 TAIL_TOL = 1e-13  # relative agreement required of the two Gauss orders
 
 
-def checked_panels(h, lo, hi):
-    """Panels covering [lo[i], hi[i]], halved until Gauss orders 24 and 48 of h
-    agree to TAIL_TOL of their value (which resolves kinks), one call of h per
-    round for both orders.  Returns the accepted panels in order: lo, hi, h at the
-    order-24 nodes and the order-48 sums.  NonConvergenceError past 4096.
+def checked_panels(h, lo, hi, accept=None):
+    """Panels covering [lo[i], hi[i]], halved until accepted: by default once Gauss
+    orders 24 and 48 of h agree to TAIL_TOL of their value (which resolves kinks).
+    One call of h per round takes a (P, 72) array, the nodes of order 24 then 48,
+    and returns values with the nodes on the last axis; every leading component is
+    summed.  accept(lo, hi, g, fine, coarse) replaces the default test, given the
+    (P,) edges, the values and the sums of orders 48 and 24; h then also takes the
+    edges lo and hi as columns 72 and 73.  Returns the accepted panels in order:
+    lo, hi and h at the order-24 nodes.  NonConvergenceError past 4096 panels in a
+    round, or for a panel too narrow to halve.
     """
     (x, w), (x2, w2) = gauss_nodes(24), gauss_nodes(48)
     lo, hi = np.reshape(lo, (-1, 1)), np.reshape(hi, (-1, 1))
     done = []
     while lo.size:
         if lo.size > 4096:
-            raise NonConvergenceError("Gauss orders disagree on 4096 panels", lo[:8, 0])
+            raise NonConvergenceError("4096 panels fail their check", lo[:8, 0])
         half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
-        g = h(mid + half * np.hstack((x, x2)))
-        fine = np.sum(half * w2 * g[:, 24:], axis=-1)
-        ok = np.abs(fine - np.sum(half * w * g[:, :24], axis=-1)) <= TAIL_TOL * np.abs(fine)
-        done.append((lo[ok, 0], hi[ok, 0], g[ok, :24], fine[ok]))
+        nodes = mid + half * np.hstack((x, x2))
+        g = h(nodes if accept is None else np.hstack((nodes, lo, hi)))
+        fine = np.sum(half * w2 * g[..., 24:72], axis=-1)
+        coarse = np.sum(half * w * g[..., :24], axis=-1)
+        ok = (accept(lo[:, 0], hi[:, 0], g, fine, coarse) if accept else
+              np.abs(fine - coarse) <= TAIL_TOL * np.abs(fine))
+        done.append((lo[ok, 0], hi[ok, 0], g[..., ok, :24]))
         lo, hi = np.vstack((lo[~ok], mid[~ok])), np.vstack((mid[~ok], hi[~ok]))
-    lo, hi, g, fine = (np.concatenate(c) for c in zip(*done))
+        if (lo >= hi).any():
+            raise NonConvergenceError(f"no check passes at {lo[lo >= hi][0]}, too narrow to halve")
+    lo, hi, g = zip(*done)
+    lo, hi, g = np.concatenate(lo), np.concatenate(hi), np.concatenate(g, axis=-2)
     order = np.argsort(lo)
-    return lo[order], hi[order], g[order], fine[order]
+    return lo[order], hi[order], g[..., order, :]
 
 
 def dyadic_gauss(f, lo: float, hi: float, inner: float) -> float:

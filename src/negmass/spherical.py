@@ -223,24 +223,31 @@ class PowerLawProfile(RadialProfile):
         self.p = float(p)
         self.r_glue = 1.0
         if p != 2.0:
-            # (k / 4 pi)^(1/(2 - p)) under- or overflows as p -> 2: checked in logs
-            if not abs(math.log2(self.k) - math.log2(FOUR_PI)) <= 500.0 * abs(2.0 - self.p):
+            # (k / 4 pi)^(1/(2 - p)) under- or overflows as p -> 2, and k / 4 pi
+            # itself for a subnormal k: formed in logs
+            log_glue = (math.log2(self.k) - math.log2(FOUR_PI)) / (2.0 - self.p)
+            if not abs(log_glue) <= 500.0:
                 raise DomainError(f"glue radius outside [2^-500, 2^500]: k = {k}, p = {p}")
-            self.r_glue = (self.k / FOUR_PI) ** (1.0 / (2.0 - self.p))
+            self.r_glue = 2.0 ** log_glue
+        if not self.p * math.log2(2.0 * self.r_glue) < 1023.0:  # the head is used up to 2g
+            raise DomainError(f"r^p overflows below twice the glue radius: k = {k}, p = {p}")
 
     def eval(self, r):
         r = self._check(r)
         k, p, g = self.k, self.p, self.r_glue
-        t = np.clip(r / g - 1.0, 0.0, 1.0)
+        # t and s = 1 - t from differences that are exact in the blend (Sterbenz)
+        t = np.clip((r - g) / g, 0.0, 1.0)
+        s = np.clip((2.0 * g - r) / g, 0.0, 1.0)
         w, dw, d2w = (t ** 3 * (10.0 + t * (-15.0 + 6.0 * t)),
-                      30.0 * t * t * (1.0 - t) ** 2 / g,
-                      60.0 * t * (1.0 - 3.0 * t + 2.0 * t * t) / g ** 2)
-        head = np.array([k * r ** p, k * p * r ** (p - 1.0),
-                         k * p * (p - 1.0) * r ** (p - 2.0)])
+                      30.0 * t * t * s * s / g,
+                      60.0 * t * s * (s - t) / g ** 2)
+        rh = np.minimum(r, 2.0 * g)  # the head is not used past 2g, where it may overflow
+        head = np.array([k * rh ** p, k * p * rh ** (p - 1.0),
+                         k * p * (p - 1.0) * rh ** (p - 2.0)])
         flat = np.array([FOUR_PI * r * r, 2.0 * FOUR_PI * r, np.full_like(r, 2.0 * FOUR_PI)])
         # (1 - w) head + w flat, not head + w (flat - head), which cancels where head >> flat
         d0, d1, _ = flat - head
-        blend = (1.0 - t) ** 3 * (1.0 + 3.0 * t + 6.0 * t * t) * head + w * flat
+        blend = s ** 3 * (1.0 + 3.0 * t + 6.0 * t * t) * head + w * flat
         blend[1:] += [dw * d0, d2w * d0 + 2.0 * dw * d1]
         A, dA, d2A = np.where(r <= g, head, np.where(r >= 2.0 * g, flat, blend))
         return _floats(A, dA, d2A)
@@ -596,7 +603,7 @@ class _PanelTable:
         ends, j = h(d), 0
         if checked:
             j = int(np.argmax(np.isfinite(ends * d)))  # panel sums of the rest stay finite
-            lo, hi, self.g, _ = checked_panels(h, d[j:-1], d[j + 1:])
+            lo, hi, self.g = checked_panels(h, d[j:-1], d[j + 1:])
             self.d_edges = np.append(lo, hi[-1])
         else:
             self.g = h(0.5 * (d[1:] + d[:-1])[:, None] + 0.5 * np.diff(d)[:, None] * x)

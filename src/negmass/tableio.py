@@ -59,10 +59,13 @@ def read_csv(path):
 
     It reads profile files, and tests read the emitted tables back with it.
     Lines are stripped of surrounding white space (so CRLF reads as LF), and
-    blank lines are skipped.
+    blank lines are skipped.  A file that is not UTF-8 raises ValidationError.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() != ""]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip() != ""]
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text: byte {exc.start}") from None
     if not lines:
         raise ValidationError("empty table")
     header = lines[0].split(",")

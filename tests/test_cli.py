@@ -439,6 +439,24 @@ def test_cli_config_missing_file(tmp_path):
                 "--out", str(tmp_path / "x.csv")]) == 2
 
 
+def test_cli_files_that_are_not_utf8_exit_2(tmp_path):
+    # byte 0xff is no UTF-8: a ValidationError, not a UnicodeDecodeError traceback
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"r,A\n1,\xff\n")
+    out = str(tmp_path / "x.csv")
+    assert run(["spherical-report", "--profile", "tabulated", "--file", str(bad),
+                "--out", out]) == 2
+    assert run(["lens-lightcurve", "--m", "-1", "--d", "3", "--config", str(bad),
+                "--out", out]) == 2
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_cli_power_law_subnormal_k_exits_2(tmp_path):
+    # k / 4 pi underflowed to 0 and the glue radius raised ZeroDivisionError
+    assert run(["spherical-report", "--profile", "power-law", "--k", "5e-324",
+                "--p", "219.4", "--out", str(tmp_path / "x.csv")]) == 2
+
+
 # ---------------------------------------------------------------------------
 # figure reproduction drivers
 

@@ -141,7 +141,7 @@ def test_flow_halts_at_dip_between_scan_radii():
     assert all(s.mean_curvature > 0.0 for s in trace.states[:-1])
 
 
-@pytest.mark.parametrize("width", [1e-3, 1e-5, 1e-7])
+@pytest.mark.parametrize("width", [1e-3, 1e-5, 1e-7, 1e-9, 1e-11, 1e-12])
 def test_flow_halts_at_narrow_dip(width):
     # A' = 1 - 3 exp(-((r - 1.3)/width)^2) dips below zero far inside one scan interval
     def fn(r):
@@ -156,11 +156,53 @@ def test_flow_halts_at_narrow_dip(width):
     assert trace.final().r == pytest.approx(r_h, abs=1e-15)
 
 
+@pytest.mark.parametrize("width", [1e-5, 1e-9, 1e-12])
+def test_flow_halts_at_narrow_dip_on_curved_area(width):
+    # A' = 8 pi r (1 - 3 exp(-u^2)), u = (r - 1.3)/width: the same dip on a flat
+    # area, whose rounding (eps A) the check of A's rise allows for
+    def fn(r):
+        u = (r - 1.3) / width
+        e = np.exp(-u * u)
+        erf = np.vectorize(math.erf)(u)
+        return (FOUR_PI * r * r - 3.0 * FOUR_PI * width * (1.3 * math.sqrt(math.pi) * erf
+                                                          - width * e),
+                2.0 * FOUR_PI * r * (1.0 - 3.0 * e),
+                2.0 * FOUR_PI * (1.0 - 3.0 * e) + 12.0 * FOUR_PI * r * u / width * e)
+
+    trace = imcf_flow(CustomProfile(fn, r_min=0.5), 1.0, 5.0)
+    assert trace.halted_at_horizon
+    assert trace.final().r == pytest.approx(1.3 - width * math.sqrt(math.log(3.0)), abs=1e-15)
+
+
 def test_flow_rejects_slope_that_contradicts_area():
     # d_area is twice the derivative of area: no resampling reconciles them
     prof = CustomProfile(lambda r: (FOUR_PI * r * r, 4.0 * FOUR_PI * r, 4.0 * FOUR_PI))
     with pytest.raises(NumericalError):
         imcf_flow(prof, 1.0, 2.0)
+
+
+def test_flow_rejects_area_with_a_jump():
+    # A jumps by 0.1 at r = 1.7 while A' = 1: halving never reconciles the rise
+    # of A there, and the panel at rounding width raises instead of looping
+    prof = CustomProfile(lambda r: (r + 0.1 * (r > 1.7), np.ones_like(r), np.zeros_like(r)),
+                         r_min=0.5)
+    with pytest.raises(NumericalError):
+        imcf_flow(prof, 1.0, 2.0)
+
+
+def test_flow_halts_before_a_jump_past_the_horizon():
+    # A = 1 + 2r - r^2/2 has its horizon at r = 2; past it, at r = 2.9, A jumps.
+    # The scan takes panels past its first node with A' <= 0 as they are, so
+    # the jump, which no halving reconciles, does not stop the flow from halting
+    def fn(r):
+        inner = r < 2.9
+        return (np.where(inner, 1.0 + 2.0 * r - 0.5 * r * r, 3.0 + 5.0 * (r - 2.9)),
+                np.where(inner, 2.0 - r, 5.0), np.where(inner, -1.0, 0.0))
+
+    trace = imcf_flow(CustomProfile(fn, r_min=0.5), 1.0, 5.0)
+    assert trace.halted_at_horizon
+    assert trace.final().r == 2.0
+    assert trace.final().t == pytest.approx(math.log(3.0 / 2.5), abs=1e-15)
 
 
 def test_geroch_no_violations_flat():

@@ -7,9 +7,10 @@ from negmass.errors import NonConvergenceError, NumericalError
 from negmass.numerics import _power_tail, dyadic_gauss, gauss_panel, ladder_limit
 from negmass.spherical import _PanelTable
 
-# checked_panels and _power_tail run through _PanelTable, their one caller: octaves
+# checked_panels' default test and _power_tail run through _PanelTable: octaves
 # of r from 2^-64 to 2^64, halved until Gauss orders 24 and 48 agree, closed by
-# a power below the first panel (head) and above the last, in u = 1/r (tail)
+# a power below the first panel (head) and above the last, in u = 1/r (tail).
+# Its acceptance predicate runs through imcf_flow (tests/test_imcf.py)
 
 
 def tail(f, a):

@@ -140,6 +140,17 @@ def test_power_law_glue_radius_near_p_two():
     assert PowerLawProfile(20.0, 1.99).r_glue == pytest.approx(1.52e20, rel=1e-2)
 
 
+def test_power_law_subnormal_k_and_far_radii():
+    # k / 4 pi underflows to 0 for k = 5e-324 (ZeroDivisionError), so the glue
+    # radius is formed in logs: 31.06; r^219.4 then overflows below 2g = 62
+    with pytest.raises(DomainError):
+        PowerLawProfile(5e-324, 219.4)
+    # past 2g the head is not formed: r^200 would overflow at r = 1e3
+    prof = PowerLawProfile(1.0, 200.0)
+    assert prof.area(1e3) == 4 * math.pi * 1e6
+    assert prof.r_glue == pytest.approx((4 * math.pi) ** (1 / 198), rel=1e-15)
+
+
 def test_neg_schwarzschild_head_down_to_tiny_radii():
     # A ~ K r^{4/3} near the singularity, with a relative correction O((r/|m|)^{2/3})
     for m in (-0.5, -1.0, -3.0):
@@ -406,6 +417,13 @@ def test_capacity_center_cases():
     root = CustomProfile(lambda r: (4 * math.pi * np.sqrt(r), 2 * math.pi / np.sqrt(r),
                                     -math.pi / r ** 1.5))
     assert capacity_center(root) == 0.0
+
+
+@pytest.mark.parametrize("p", [40.0, 60.0])
+def test_capacity_center_steep_power_laws(p):
+    # t = r/g - 1 carried an absolute error of eps, which the steep head
+    # turned into noise near 2g that no panel check passed
+    assert capacity_center(PowerLawProfile(3.0, p)) == 0.0
 
 
 def test_capacity_center_power_law_head_closed_form():
