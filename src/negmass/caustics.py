@@ -190,10 +190,12 @@ def grad_Z_eta(z: complex, model: LensModel) -> complex:
 
     grad_Z eta = (1 - kappa) Z + b conj(Z) with b = d eta/d conj(z) and
     Z = 4 i m conj(b) / conj(z)^3; it vanishes exactly at cusps (together
-    with J = 0).
+    with J = 0).  m is divided by conj(z) one factor at a time, so that
+    conj(z)^3 can neither overflow nor underflow.
     """
     b = _eta_b(z, model)[1]
-    Z = 4j * model.m * b.conjugate() / z.conjugate() ** 3
+    zb = z.conjugate()
+    Z = 4j * (model.m / zb / zb / zb) * b.conjugate()
     return model._u * Z + b * Z.conjugate()
 
 
@@ -204,7 +206,9 @@ def cusp_angles(reduced: ReducedLens) -> CuspSet:
     each angle contributes two cusps (one per critical branch), so the
     count is twice the number of selected angles.  Every selected angle
     is cross-checked against the defining condition |grad_Z eta| <= 1e-7
-    at the corresponding critical point.
+    |(1 - kappa) Z| at the corresponding critical point.  Relative to
+    |(1 - kappa) Z|, that condition depends on gamma* and eps alone, so
+    the check holds at every scale of m*.
     """
     if reduced.m_star >= 0:
         raise DomainError("cusp_angles expects a negative reduced mass")
@@ -215,7 +219,8 @@ def cusp_angles(reduced: ReducedLens) -> CuspSet:
     model = _equivalent_model(reduced)
     zs = _z_plus(np.array([phi for phi, _ in selected]), reduced).tolist()
     for (_, lab), z in zip(selected, zs):
-        if not abs(grad_Z_eta(z, model)) <= 1e-7:
+        # |(1 - kappa) Z| = 4 |m*| / |z|^3, since |b| = |1 - kappa| = 1 where J = 0
+        if not abs(grad_Z_eta(z, model)) <= 4e-7 * abs(model.m / z / z / z):
             raise NumericalError(f"closed-form cusp {lab} fails the numerical condition")
     selected.sort()
     return CuspSet(tuple(selected), 2 * len(selected), regime, reduced.eps_kappa)

@@ -15,12 +15,9 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
-import numpy as np
-
-from . import caustics, imcf, lens, weyl
-from . import spherical as sph
 from .errors import DomainError, NonConvergenceError, NumericalError, ValidationError
 from .svgplot import Series, emit_svg
 from .tableio import write_csv
@@ -44,7 +41,8 @@ def _parse_pair(text: str, what: str) -> complex:
         raise ValidationError(f"--{what}: {exc}") from exc
 
 
-def _profile_from_args(args) -> sph.RadialProfile:
+def _profile_from_args(args):
+    from . import spherical as sph
     return sph.build_profile(args.profile, mass=args.mass, k=args.k,
                              p=args.p, file=args.file)
 
@@ -56,10 +54,12 @@ def _re_im(z) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # subcommand bodies: each returns (header, rows, plot), where plot is None
 # when there is nothing to draw, or a function returning the SVG series
-# and the emit_svg options, called only under --svg
+# and the emit_svg options, called only under --svg.  Each imports what it
+# runs, so a process loads numpy and the topic modules of its own command only
 
 
 def _cmd_lens_images(args):
+    from . import lens
     model = lens.LensModel(args.m, args.kappa, args.gamma, args.theta)
     y = _parse_pair(args.y, "y")
     result = lens.find_images(y, model)
@@ -72,6 +72,9 @@ def _cmd_lens_images(args):
 
 
 def _cmd_lens_lightcurve(args):
+    import numpy as np
+
+    from . import lens
     if args.n < 2:
         raise ValidationError("--n must be >= 2")
     samples = lens.light_curve(args.m, args.d, np.linspace(args.t0, args.t1, args.n))
@@ -82,6 +85,9 @@ def _cmd_lens_lightcurve(args):
 
 def _cmd_lens_curve(args):
     """lens-critical writes the critical curve z, lens-caustics its image y."""
+    import numpy as np
+
+    from . import caustics, lens
     caustic = args.command == "lens-caustics"
     p = "y" if caustic else "z"
     model = lens.LensModel(args.m, args.kappa, args.gamma)
@@ -108,6 +114,7 @@ def _cmd_lens_curve(args):
 
 
 def _cmd_lens_cusps(args):
+    from . import caustics, lens
     model = lens.LensModel(args.m, args.kappa, args.gamma)
     cusps = caustics.cusp_angles(caustics.reduce(model))
     rows = [[phi, label, cusps.count] for phi, label in cusps.angles]
@@ -118,6 +125,9 @@ def _cmd_lens_cusps(args):
 
 
 def _cmd_lens_survey(args):
+    import numpy as np
+
+    from . import caustics, lens
     model = lens.LensModel(args.m, args.kappa, args.gamma)
     pair = _parse_pair(args.y, "y")
     lo, hi = pair.real, pair.imag
@@ -144,6 +154,9 @@ def _or_na(errors, fn, *args):
 
 
 def _cmd_spherical_report(args):
+    import numpy as np
+
+    from . import spherical as sph
     profile = _profile_from_args(args)
     r0 = args.r0
     # NA where a limit does not settle, or its end is not in the profile:
@@ -166,6 +179,7 @@ def _cmd_spherical_report(args):
 
 
 def _cmd_imcf_flow(args):
+    from . import imcf
     states = imcf.imcf_flow(_profile_from_args(args), args.r0, args.t_end).states
     rows = [[s.t, s.r, s.area, s.mean_curvature, s.hawking] for s in states]
     return ["t", "r", "area", "H", "m_H"], rows, lambda: (
@@ -174,6 +188,9 @@ def _cmd_imcf_flow(args):
 
 
 def _cmd_weyl_zv(args):
+    import numpy as np
+
+    from . import weyl
     zv = weyl.ZVModel(args.m, args.a)
     flux = weyl.adm_flux(zv, args.radius)
     res = weyl.vacuum_residuals(
@@ -303,6 +320,16 @@ def run(argv) -> int:
 
 
 def main() -> None:
+    """Process entry (``negmass`` and ``python -m negmass.cli``).
+
+    OpenBLAS starts a worker thread per extra core when numpy loads, and
+    that thread costs CPU which no negmass kernel is large enough to use.
+    So, before numpy loads, this process runs BLAS on one thread, unless
+    OPENBLAS_NUM_THREADS or OMP_NUM_THREADS says otherwise.  ``run`` leaves
+    the environment alone.
+    """
+    if "numpy" not in sys.modules and "OMP_NUM_THREADS" not in os.environ:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(run(sys.argv[1:]))
 
 

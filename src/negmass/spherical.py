@@ -386,20 +386,41 @@ def parse_profile_file(path) -> TabulatedProfile:
 # pointwise functionals
 
 
+def _in_range(value, what: str):
+    """value, or NumericalError where it is inf or NaN."""
+    if not np.isfinite(value).all():
+        raise NumericalError(f"{what} leaves the double range")
+    return value
+
+
 def scalar_curvature(profile: RadialProfile, r):
-    """R = (16 pi A + A'^2 - 4 A A'') / (2 A^2)."""
-    A, Ap, App = profile.eval(r)
-    return (16.0 * math.pi * A + Ap * Ap - 4.0 * A * App) / (2.0 * A * A)
+    """R = (16 pi A + A'^2 - 4 A A'') / (2 A^2).
+
+    Formed at r scaled by the power of 2, 2^j, that brings A near 1: A
+    gains 4^j, A' 2^j and R 4^-j, so A^2 can neither underflow nor
+    overflow.  The scaling is exact, so wherever the plain form stays in
+    the double range R is the same to the bit.
+    """
+    with np.errstate(all="ignore"):  # checked below: A may be 0 or inf
+        A, Ap, App = profile.eval(r)
+        j = -(np.frexp(A)[1] // 2)
+        A, Ap = np.ldexp(A, 2 * j), np.ldexp(Ap, j)
+        R = np.ldexp((16.0 * math.pi * A + Ap * Ap - 4.0 * A * App) / (2.0 * A * A), 2 * j)
+    return _floats(_in_range(R, "scalar curvature"))[0]
 
 
 def _hawking(A, Ap):
     """m_H = sqrt(A / 16 pi) (1 - A'^2 / (16 pi A)): a float for a float A."""
-    return _floats(np.sqrt(A / (16.0 * math.pi)) * (1.0 - Ap * Ap / (16.0 * math.pi * A)))[0]
+    with np.errstate(all="ignore"):  # checked below: A may be 0 or inf
+        m = np.sqrt(A / (16.0 * math.pi)) * (1.0 - Ap * Ap / (16.0 * math.pi * A))
+    return _floats(_in_range(m, "Hawking mass"))[0]
 
 
 def hawking_mass_sphere(profile: RadialProfile, r):
     """Hawking mass m_H(S_r) of the coordinate sphere at r."""
-    return _hawking(*profile.eval(r)[:2])
+    with np.errstate(all="ignore"):  # _hawking checks the value: A may overflow
+        A, Ap, _ = profile.eval(r)
+    return _hawking(A, Ap)
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,10 @@ class ZVModel:
             raise ValidationError("rod parameters must be finite")
         if self.a <= 0.0:
             raise ValidationError("rod half-length a must be positive")
+        # the potentials scale by m/2a and m^2/2a^2
+        if not (self.a * self.a >= sys.float_info.min
+                and math.isfinite(self.m * self.m / (self.a * self.a))):
+            raise ValidationError("rod parameters need m^2, a^2 and m^2/a^2 within the double range")
 
     @property
     def ratio(self) -> float:
@@ -169,15 +173,19 @@ def adm_flux(zv: ZVModel, radius: float) -> float:
     of the radius.  Axisymmetry reduces the integral to 2 pi times one
     polar Gauss-Legendre panel of 64 nodes.
     """
-    if not zv.a < radius < math.inf:
-        raise DomainError("flux sphere must enclose the rod: finite radius > a")
+    if not (zv.a < radius and radius * radius < math.inf):
+        raise DomainError("flux sphere must enclose the rod: radius > a, radius^2 finite")
 
     def flux(theta):
         sin, cos = np.sin(theta), np.cos(theta)
         _, _, lam_rho, lam_z, _, _ = zv_fields(zv, radius * sin, radius * cos)
-        return (sin * lam_rho + cos * lam_z) * radius ** 2 * sin
+        grad = sin * lam_rho + cos * lam_z  # ~ m / radius^2, never 0 for m != 0
+        if zv.m != 0.0 and not (np.abs(grad) >= sys.float_info.min).all():
+            raise NumericalError(f"flux integrand leaves the double range at radius {radius:g}")
+        return grad * (radius * radius) * sin
 
-    return 0.5 * gauss_panel(flux, 0.0, math.pi, 64)
+    with np.errstate(over="ignore", invalid="ignore"):  # the integrand is checked
+        return 0.5 * gauss_panel(flux, 0.0, math.pi, 64)
 
 
 def _layer_width(zv: ZVModel, rho: float) -> float:

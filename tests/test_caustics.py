@@ -352,6 +352,13 @@ def test_uncorrected_variant_fails_numerical_condition():
         assert abs(grad_Z_eta(z, model)) > 1e-3
 
 
+@pytest.mark.parametrize("m_star", [-1e-300, -3.56e256, -1e300])
+@pytest.mark.parametrize("g, eps", [(7.59, 1), (0.0017, -1), (0.9, 1), (0.5, -1)])
+def test_cusp_angles_do_not_depend_on_the_mass_scale(m_star, g, eps):
+    # cusps depend on gamma* and eps alone; conj(z)^3 under- or overflowed here
+    assert cusp_angles(ReducedLens(m_star, g, eps)) == cusp_angles(ReducedLens(-1.0, g, eps))
+
+
 def test_cusps_pass_numerical_condition_in_full_models():
     # full (kappa-carrying) models on both sides of kappa = 1; a rotated
     # shear turns the cusps by theta

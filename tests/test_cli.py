@@ -134,6 +134,16 @@ def test_cli_cusps_both_regimes(tmp_path, capsys):
     _, rows = read_csv(out)
     assert [(r[0], r[1]) for r in rows] == [(0.0, "phi1"), (pytest.approx(math.pi), "phi2")]
     assert all(r[2] == 4 for r in rows)
+    # cusps depend on gamma* and eps alone: at these masses conj(z)^3 overflowed
+    # and underflowed, and the call ended in a traceback
+    for m, kappa, gamma, angles in (("-2.1e256", "0.41", "4.48", 3),
+                                    ("-1e-300", "3.06", "0.0035", 2)):
+        tables = []
+        for mass in (m, "-1"):
+            assert run(["lens-cusps", "--m", mass, "--kappa", kappa, "--gamma", gamma,
+                        "--out", str(out)]) == 0
+            tables.append(out.read_bytes())
+        assert tables[0] == tables[1] and len(read_csv(out)[1]) == angles
 
 
 def test_cli_imcf_flow(tmp_path):
@@ -219,6 +229,12 @@ def test_cli_spherical_report_power_law(tmp_path):
     table = {r[0]: r[1] for r in rows}
     assert table["regular_mass"] == -math.inf
     assert table["capacity_center"] > 0.0
+    # A^2 underflows at r0, and the curvature 8 pi/A + ... is still a double
+    assert run(["spherical-report", "--profile", "power-law", "--k", "0.01105",
+                "--p", "21.49", "--r0", "3.19e-8", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert {r[0]: r[1] for r in rows}["scalar_curvature_r0"] == pytest.approx(
+        8 * math.pi / (0.01105 * 3.19e-8 ** 21.49), rel=1e-9)
 
 
 def test_cli_spherical_report_unsteady_regular_mass_is_na(tmp_path):
@@ -384,6 +400,9 @@ def test_cli_validation_error_exits_2(tmp_path):
     # a light curve needs two samples, and a survey axis lo < hi
     assert run(["lens-lightcurve", "--m", "-1", "--d", "3", "--n", "1", *out]) == 2
     assert run(["lens-survey", "--m", "-1", "--y=4,-4", *out]) == 2
+    # a^2 underflows in the rod potentials; the flux sphere's radius^2 overflows
+    assert run(["weyl-zv", "--m", "-0.0035", "--a", "5e-324", *out]) == 2
+    assert run(["weyl-zv", "--m", "-1", "--a", "1", "--radius", "1e300", *out]) == 2
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -400,6 +419,10 @@ def test_cli_numerical_error_exits_3(tmp_path, monkeypatch, capsys):
     assert "did not settle" in capsys.readouterr().err
     # a rod this massive has cylinder areas below the double range
     assert run(["weyl-zv", "--m", "-1e6", "--a", "1", "--out", str(tmp_path / "x.csv")]) == 3
+    assert "double range" in capsys.readouterr().err
+    # the area overflows at r0: a numerical failure, not a NaN cell read as bad input
+    assert run(["spherical-report", "--profile", "neg-schwarzschild", "--mass", "-0.5",
+                "--r0", "1e300", "--out", str(tmp_path / "x.csv")]) == 3
     assert "double range" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
 

@@ -182,6 +182,30 @@ def test_scalar_curvature_schwarzschild_slice():
         assert scalar_curvature(cs, r) == pytest.approx(0.0, abs=1e-8)
 
 
+def test_scalar_curvature_is_the_plain_form_to_the_bit():
+    # the power-of-2 rescaling is exact wherever A^2 stays a normal double
+    for prof in (FlatProfile(), three_sphere_profile(), ConformalSchwarzschildProfile(-0.7),
+                 PowerLawProfile(3.0, 1.5)):
+        for r in (0.013, 0.4, 1.0, 2.7):
+            A, Ap, App = prof.eval(r)
+            plain = (16.0 * math.pi * A + Ap * Ap - 4.0 * A * App) / (2.0 * A * A)
+            assert scalar_curvature(prof, r) == plain
+
+
+def test_scalar_curvature_where_a_squared_underflows():
+    # A = k r^p is 8.9e-164, so A^2 underflows; R = 8 pi/A + (p/r)^2/2 - 2p(p - 1)/r^2
+    k, p, r = 0.01105, 21.49, 3.19e-8
+    expect = 8 * math.pi / (k * r ** p) + 0.5 * (p / r) ** 2 - 2 * p * (p - 1) / r ** 2
+    assert scalar_curvature(PowerLawProfile(k, p), r) == pytest.approx(expect, rel=1e-12)
+
+
+def test_curvature_and_hawking_mass_raise_where_the_area_overflows():
+    cs = ConformalSchwarzschildProfile(-0.5)
+    for f in (scalar_curvature, hawking_mass_sphere):
+        with pytest.raises(NumericalError):
+            f(cs, 1e300)
+
+
 def test_domain_enforced():
     with pytest.raises(DomainError):
         scalar_curvature(FlatProfile(), -1.0)

@@ -24,6 +24,9 @@ def test_zv_model_parameters():
     assert ZVModel(1.0, 1.0).is_excluded
     with pytest.raises(ValidationError):
         ZVModel(1.0, 0.0)
+    # a^2 underflows, so m^2 / 2a^2 in mu cannot be formed
+    with pytest.raises(ValidationError):
+        ZVModel(-0.0035, 5e-324)
 
 
 def test_potential_on_axis_value():
@@ -143,6 +146,17 @@ def test_adm_flux_surface_independence():
 def test_adm_flux_requires_enclosing_sphere():
     with pytest.raises(DomainError):
         adm_flux(ZVModel(1.0, 1.0), 0.5)
+    # radius^2 overflows: a typed error, not an OverflowError
+    with pytest.raises(DomainError):
+        adm_flux(ZVModel(-1.0, 1.0), 1e300)
+
+
+@pytest.mark.parametrize("m, radius", [(-1.0, 1e154), (-1e-300, 1e10)])
+def test_adm_flux_raises_where_the_gradient_underflows(m, radius):
+    # grad lam ~ m / radius^2 is 0 or a subnormal: the flux would read 0 or noise
+    with pytest.raises(NumericalError):
+        adm_flux(ZVModel(m, 1.0), radius)
+    assert adm_flux(ZVModel(m, 1.0), 1e3) == pytest.approx(m, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
