@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import (BoundaryRegimeError, DegenerateKappaError, DomainError,
                      NumericalError, ValidationError)
-from .lens import LensModel, _eta_b, _rotated, find_images, lens_map
+from .lens import LensModel, _eta_b, _rotated, find_images_many, lens_map
 
 GAP_TOL = 1e-9  # |e^{-i phi} - gamma*| below this is a parametrization gap
 _NAN = complex(math.nan, math.nan)  # z and y at a gap
@@ -228,7 +228,11 @@ def cusp_angles(reduced: ReducedLens) -> CuspSet:
 
 @dataclass(frozen=True)
 class SurveyResult:
-    """Image counts on a source-plane grid, with a near-caustic mask."""
+    """Image counts on a source-plane grid, with a near-caustic mask.
+
+    ``counts`` is an int8 array (an image count is 0 to 4) and ``near_caustic``
+    a bool array, both with rows along y2 and columns along y1.
+    """
 
     y1: np.ndarray
     y2: np.ndarray
@@ -278,8 +282,10 @@ def _near_caustic(segments, y1: np.ndarray, y2: np.ndarray, margin: float) -> np
 
 def image_count_survey(model: LensModel, y1_axis, y2_axis,
                        margin: float = 1e-3, samples: int = 8192) -> SurveyResult:
-    """Count images of find_images over a rectangular source grid.
+    """Count the images of find_images over a rectangular source grid.
 
+    Each grid row goes through one ``find_images_many`` call, so a row's
+    polynomials are rooted together and no temporaries outlive the row.
     Grid points within ``margin`` of the caustic, drawn as segments
     between its samples at ``samples`` angles per branch, are flagged
     unreliable (counts there are still reported).
@@ -287,6 +293,7 @@ def image_count_survey(model: LensModel, y1_axis, y2_axis,
     y1 = np.asarray(y1_axis, dtype=float)
     y2 = np.asarray(y2_axis, dtype=float)
     near = _near_caustic(_caustic_segments(model, samples), y1, y2, margin)
-    counts = np.array([[len(find_images(complex(a, b), model)) for a in y1] for b in y2],
-                      dtype=int).reshape(y2.size, y1.size)
+    counts = np.zeros((y2.size, y1.size), dtype=np.int8)
+    for row, b in zip(counts, y2.tolist()):
+        row[:] = [len(s) for s in find_images_many([complex(a, b) for a in y1.tolist()], model)]
     return SurveyResult(y1, y2, counts, near, margin)

@@ -47,6 +47,17 @@ def _profile_from_args(args):
                              p=args.p, file=args.file)
 
 
+def _linspace(lo: float, hi: float, n: int, least: int):
+    """np.linspace(lo, hi, n) for --n >= least; a size numpy refuses is a ValidationError."""
+    import numpy as np
+    if n < least:
+        raise ValidationError(f"--n must be >= {least}")
+    try:
+        return np.linspace(lo, hi, n)
+    except ValueError as exc:  # past numpy's largest array
+        raise ValidationError(f"--n {n}: {exc}") from None
+
+
 def _re_im(z) -> tuple[float, float]:
     return float(z.real), float(z.imag)
 
@@ -72,12 +83,8 @@ def _cmd_lens_images(args):
 
 
 def _cmd_lens_lightcurve(args):
-    import numpy as np
-
     from . import lens
-    if args.n < 2:
-        raise ValidationError("--n must be >= 2")
-    samples = lens.light_curve(args.m, args.d, np.linspace(args.t0, args.t1, args.n))
+    samples = lens.light_curve(args.m, args.d, _linspace(args.t0, args.t1, args.n, 2))
     ts, mus = [s.t for s in samples], [s.magnification for s in samples]
     return ["t", "mu"], list(zip(ts, mus)), lambda: (
         [Series(ts, mus, label="mu(t)")], dict(title="light curve", x_label="t", y_label="mu"))
@@ -133,7 +140,7 @@ def _cmd_lens_survey(args):
     lo, hi = pair.real, pair.imag
     if not hi > lo:
         raise ValidationError("--y for lens-survey is 'lo,hi' with hi > lo")
-    axis = np.linspace(lo, hi, args.n)
+    axis = _linspace(lo, hi, args.n, 1)
     result = caustics.image_count_survey(model, axis, axis, samples=args.samples)
     y1, y2 = np.meshgrid(result.y1, result.y2)
     cols = (y1, y2, result.counts, result.near_caustic.astype(int))

@@ -92,7 +92,7 @@ def imcf_flow(profile: RadialProfile, r0: float, t_end: float) -> FlowTrace:
     except OverflowError:
         raise DomainError(f"A(r0) e^t_end overflows at t_end = {t_end}") from None
 
-    rs, areas, halted = _scan(profile, r0, start, target)
+    (rs, areas, slopes), halted = _scan(profile, r0, start, target)
     t = np.linspace(0.0, math.log(areas[-1] / A0) if halted else t_end, STATES)
     r = np.empty(STATES)
     r[0] = r0
@@ -102,7 +102,14 @@ def imcf_flow(profile: RadialProfile, r0: float, t_end: float) -> FlowTrace:
         # A rises along the scanned radii, so they bracket each target
         i = np.clip(np.searchsorted(areas, targets), 1, areas.size - 1)
         lo, hi = rs[i - 1], rs[i]
-        guess = lo + (targets - areas[i - 1]) / (areas[i] - areas[i - 1]) * (hi - lo)
+        # cubic Hermite guess of r(A), with dr/dA = 1/A' at both nodes; each tangent
+        # is held to 3 secants (Fritsch-Carlson), which also covers A' = 0 at r_h
+        h = areas[i] - areas[i - 1]
+        s = (targets - areas[i - 1]) / h
+        with np.errstate(divide="ignore"):
+            d0, d1 = (np.minimum(h / slopes[j], 3.0 * (hi - lo)) for j in (i - 1, i))
+        guess = np.clip(lo + s * s * (3.0 - 2.0 * s) * (hi - lo)
+                        + s * (1.0 - s) * ((1.0 - s) * d0 - s * d1), lo, hi)
 
         def residual(x):
             A, dA, _ = profile.eval(x)
@@ -123,7 +130,7 @@ def imcf_flow(profile: RadialProfile, r0: float, t_end: float) -> FlowTrace:
 
 
 def _scan(profile: RadialProfile, r0: float, start: tuple, target: float):
-    """Radii from r0 out to where the flow stops, with their areas.
+    """Radii from r0 out to where the flow stops, with their areas and A'.
 
     Scans outward in steps that double r (or halve the gap to a finite
     r_max) until A reaches target or A' drops to zero or below.  Each step
@@ -135,9 +142,11 @@ def _scan(profile: RadialProfile, r0: float, start: tuple, target: float):
     taken as they are.  Over the order-24 nodes, an interval where A''
     turns from negative to nonnegative has its minimum of A' located; a
     minimum that is zero to rounding, as at a tangential zero, is a horizon
-    too.  Returns (rs, areas, halted) with rs[0] = r0 and A increasing on
-    each [rs[i], rs[i+1]].  The last radius either has A >= target or, with
-    halted set, is the horizon r_h, refined to rounding, with A(r_h) < target.
+    too.  Returns ((rs, areas, slopes), halted), a (3, n) array of the
+    accepted nodes' r, A and A' with rs[0] = r0 and A increasing on each
+    [rs[i], rs[i+1]].  The last radius either has A >= target or, with
+    halted set, is the horizon r_h, refined to rounding, with A(r_h) < target
+    and A' taken as 0 there.
     """
     w = gauss_nodes(48)[1]
 
@@ -154,7 +163,7 @@ def _scan(profile: RadialProfile, r0: float, start: tuple, target: float):
                                                + abs(A_a) + abs(A_b))
         return (a >= cut) | ((abs(fine[2] - coarse[2]) <= tol) & (abs(A_b - A_a - fine[2]) <= tol))
 
-    rs, areas = [], []
+    kept = []  # (r, A, A') of the accepted nodes, one array per step
     prev = np.array([[r0], *([v] for v in start)])  # (r, A, A', A'') of the last node
     r = r0
     while True:
@@ -177,15 +186,13 @@ def _scan(profile: RadialProfile, r0: float, start: tuple, target: float):
                 i = int(np.argmax(flat))
                 k = dips[i]
                 r_h = m[i] if dA_m[i] >= 0.0 else _horizon(profile, x[k], m[i])
-                return _halt(rs + [x[:k + 1]], areas + [A[:k + 1]], r_h, profile, target)
+                return _halt(kept + [pts[:3, :k + 1]], r_h, profile, target)
         if stop.any():
             if dA[last + 1] > 0.0:
-                return (np.concatenate(rs + [x[:last + 2]]),
-                        np.concatenate(areas + [A[:last + 2]]), False)
+                return np.hstack(kept + [pts[:3, :last + 2]]), False
             r_h = x[last + 1] if dA[last + 1] == 0.0 else _horizon(profile, x[last], x[last + 1])
-            return _halt(rs + [x[:last + 1]], areas + [A[:last + 1]], r_h, profile, target)
-        rs.append(x[:-1])
-        areas.append(A[:-1])
+            return _halt(kept + [pts[:3, :last + 1]], r_h, profile, target)
+        kept.append(pts[:3, :-1])
         prev, r = pts[:, -1:], end
 
 
@@ -203,10 +210,10 @@ def _slope_minima(profile: RadialProfile, lo: np.ndarray, hi: np.ndarray):
     return mid, A, dA
 
 
-def _halt(rs: list, areas: list, r_h: float, profile: RadialProfile, target: float):
-    """Close a scan on the horizon r_h: (rs, areas, halted)."""
+def _halt(kept: list, r_h: float, profile: RadialProfile, target: float):
+    """Close a scan on the horizon r_h, where A' = 0: (nodes, halted)."""
     A_h = profile.area(float(r_h))
-    return np.concatenate(rs + [[r_h]]), np.concatenate(areas + [[A_h]]), A_h < target
+    return np.hstack(kept + [[[r_h], [A_h], [0.0]]]), A_h < target
 
 
 def _horizon(profile: RadialProfile, lo: float, hi: float) -> float:

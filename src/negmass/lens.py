@@ -281,45 +281,87 @@ def _collect_images(cands, y: complex, model: LensModel,
     return kept
 
 
+def _roots_many(polys) -> list[list[complex]]:
+    """``np.roots`` of each complex coefficient list (highest degree first), bit for bit.
+
+    As np.roots does, exact zeros are stripped from both ends, each trailing
+    zero gives a root at 0 after the others, and an all-zero list has no
+    roots.  The companion matrices of np.roots (first row -p[1:] / p[0],
+    ones below the diagonal) are stacked by size, one eigvals call a size.
+    """
+    out, tails, sizes = [], [], {}
+    for i, p in enumerate(polys):
+        nz = [k for k, c in enumerate(p) if c != 0]
+        out.append([])
+        tails.append(len(p) - 1 - nz[-1] if nz else 0)
+        if nz and nz[-1] > nz[0]:
+            sizes.setdefault(nz[-1] - nz[0], []).append((i, p[nz[0]:nz[-1] + 1]))
+    for n, group in sizes.items():
+        p = np.array([p for _, p in group], dtype=complex)
+        a = np.zeros((len(group), n, n), dtype=complex)
+        a[:, 0] = -p[:, 1:] / p[:, :1]
+        a[:, range(1, n), range(n - 1)] = 1.0
+        for (i, _), roots in zip(group, np.linalg.eigvals(a).tolist()):
+            out[i] = roots
+    for roots, k in zip(out, tails):
+        roots += [0j] * k
+    return out
+
+
 def find_images(y, model: LensModel) -> ImageSet:
     """All images of a source at y under the combined lens map.
 
     The conjugate equation is eliminated, in the lab frame, to a complex
     polynomial of degree <= 4; leading coefficients below 1e-14 of the
-    largest (or of 1) are trimmed.  Each root (companion-matrix eigenvalues,
-    ``np.roots``) is Newton-polished on the real system to rounding level
-    and kept if its residual |eta(z) - y| is at most 1e-9 and it lies 1e-12
-    or more from the lens center.  A root so far out that |m/z| sinks below
-    the rounding of eta's linear part stays only if it is that part's own
-    image z_lin = (u y - G conj(y)) / (u^2 - gamma^2), u = 1 - kappa,
-    G = gamma e^{2 i theta}; at u^2 = gamma^2 there is no z_lin, and all
-    such roots are dropped.  Images come back sorted by |z| descending.
+    largest (or of 1) are trimmed.  Each root (the eigenvalues of
+    ``np.roots``' companion matrix, bit for bit) is Newton-polished on the
+    real system to rounding level and kept if its residual |eta(z) - y| is
+    at most 1e-9 and it lies 1e-12 or more from the lens center.  A root so
+    far out that |m/z| sinks below the rounding of eta's linear part stays
+    only if it is that part's own image z_lin = (u y - G conj(y)) /
+    (u^2 - gamma^2), u = 1 - kappa, G = gamma e^{2 i theta}; at
+    u^2 = gamma^2 there is no z_lin, and all such roots are dropped.
+    Images come back sorted by |z| descending.
 
     kappa = 1 with gamma = 0 leaves eta = -m/conj(z), whose one image
     z = -m/conj(y) is taken in closed form (none at y = 0); it and m = 0
     at u^2 = gamma^2 are flagged 'degenerate-linear-part'.  Raises
     DomainError past |y| = RESIDUAL_TOL / (8 eps) = 5.6e5, where rounding
-    of y nears RESIDUAL_TOL.
+    of y nears RESIDUAL_TOL.  This is ``find_images_many([y], model)[0]``.
     """
-    yv = _as_point(y, "source position")
-    if 8.0 * _EPS * abs(yv) > RESIDUAL_TOL:
-        raise DomainError(f"source at |y| = {abs(yv):g} is too far out for the residual test")
-    u, G = model._u, model._G
+    return find_images_many([y], model)[0]
+
+
+def find_images_many(ys, model: LensModel) -> list[ImageSet]:
+    """``find_images`` of each source in ys, with its checks and its results.
+
+    The polynomials of all the sources are rooted together (one stacked
+    eigvals call per degree); each source's roots are then polished and
+    filtered on their own.
+    """
+    ys = [_as_point(y, "source position") for y in ys]
+    for yv in ys:
+        if 8.0 * _EPS * abs(yv) > RESIDUAL_TOL:
+            raise DomainError(f"source at |y| = {abs(yv):g} is too far out for the residual test")
+    u, G, m = model._u, model._G, model.m
     det = u * u - model.gamma * model.gamma
-    z_lin = (u * yv - G * yv.conjugate()) / det if det != 0.0 else None
-    if model.m == 0.0:
-        cands = [] if z_lin is None else [z_lin]
+    z_lins = [(u * yv - G * yv.conjugate()) / det if det != 0.0 else None for yv in ys]
+    if m == 0.0:
+        cands = [[] if z is None else [z] for z in z_lins]
     elif model.kappa == 1.0 and model.gamma == 0.0:
-        cands = [-model.m / yv.conjugate()] if yv else []
+        cands = [[-m / yv.conjugate()] if yv else [] for yv in ys]
     else:
-        coeffs = _image_polynomial(yv, model.m, u, G)
-        tiny = 1e-14 * max(1.0, *map(abs, coeffs))
-        while coeffs and abs(coeffs[0]) <= tiny:
-            coeffs.pop(0)
-        cands = [complex(z) for z in np.roots(coeffs)]
-    degenerate = det == 0.0 and (model.m == 0.0 or model.gamma == 0.0)
-    return ImageSet(images=tuple(_collect_images(cands, yv, model, z_lin)),
-                    flags=("degenerate-linear-part",) if degenerate else ())
+        polys = []
+        for yv in ys:
+            coeffs = _image_polynomial(yv, m, u, G)
+            tiny = 1e-14 * max(1.0, *map(abs, coeffs))
+            while coeffs and abs(coeffs[0]) <= tiny:
+                coeffs.pop(0)
+            polys.append(coeffs)
+        cands = _roots_many(polys)
+    flags = ("degenerate-linear-part",) if det == 0.0 and (m == 0.0 or model.gamma == 0.0) else ()
+    return [ImageSet(images=tuple(_collect_images(c, yv, model, z)), flags=flags)
+            for c, yv, z in zip(cands, ys, z_lins)]
 
 
 def _total_magnification(y: float, m: float) -> float | None:

@@ -11,7 +11,7 @@ from negmass.caustics import (ReducedLens, _w3, caustic_curve, critical_curve,
                               image_count_survey, reduce)
 from negmass.errors import (BoundaryRegimeError, DegenerateKappaError, DomainError,
                             ValidationError)
-from negmass.lens import LensModel, jacobian_det, lens_map
+from negmass.lens import LensModel, find_images, jacobian_det, lens_map
 from oracles import scan_cusps
 
 
@@ -411,6 +411,18 @@ def test_survey_isolated():
                 continue
             expect = 0 if math.hypot(a, b) < 2.0 else 2
             assert res.counts[i, j] == expect
+
+
+def test_survey_counts_are_int8_and_find_images_counts():
+    # a rotated shear lens with a four-image region; every grid point, near the
+    # caustic too
+    model = LensModel(-1.0, 1.8, 0.6, 0.7)
+    y1, y2 = np.linspace(-2.5, 2.5, 21), np.linspace(-2.0, 2.2, 17)
+    res = image_count_survey(model, y1, y2)
+    assert res.counts.dtype == np.int8 and res.counts.shape == (17, 21)
+    assert res.counts.tolist() == [[len(find_images(complex(a, b), model)) for a in y1]
+                                   for b in y2]
+    assert set(res.counts.ravel().tolist()) == {2, 4}
 
 
 def test_survey_identity_map():

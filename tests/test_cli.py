@@ -400,10 +400,18 @@ def test_cli_validation_error_exits_2(tmp_path):
     # a light curve needs two samples, and a survey axis lo < hi
     assert run(["lens-lightcurve", "--m", "-1", "--d", "3", "--n", "1", *out]) == 2
     assert run(["lens-survey", "--m", "-1", "--y=4,-4", *out]) == 2
+    # a survey needs one grid point per axis; numpy refuses a size past its
+    # largest array before it allocates anything
+    for n in ("-3", "0", "100000000000000000000"):
+        assert run(["lens-survey", "--m", "-1", "--n", n, *out]) == 2
+        assert run(["lens-survey", "--m", "-1", "--n", n, "--svg", str(tmp_path / "x.svg"),
+                    *out]) == 2
+    assert run(["lens-lightcurve", "--m", "-1", "--d", "3", "--n", "100000000000000000000",
+                *out]) == 2
     # a^2 underflows in the rod potentials; the flux sphere's radius^2 overflows
     assert run(["weyl-zv", "--m", "-0.0035", "--a", "5e-324", *out]) == 2
     assert run(["weyl-zv", "--m", "-1", "--a", "1", "--radius", "1e300", *out]) == 2
-    assert not (tmp_path / "x.csv").exists()
+    assert not (tmp_path / "x.csv").exists() and not (tmp_path / "x.svg").exists()
 
 
 def test_cli_numerical_error_exits_3(tmp_path, monkeypatch, capsys):

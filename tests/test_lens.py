@@ -7,8 +7,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from negmass.errors import DomainError, SingularPointError, ValidationError
-from negmass.lens import (LensModel, find_images, jacobian_det, lens_map, light_curve,
-                          magnification_isolated, solve_images_isolated,
+from negmass.lens import (LensModel, _roots_many, find_images, find_images_many, jacobian_det,
+                          lens_map, light_curve, magnification_isolated, solve_images_isolated,
                           total_magnification_isolated)
 from oracles import fermat_gradient, surface_potential
 
@@ -301,6 +301,48 @@ def test_image_counts_match_conjugate_quartic_on_grid(m, kappa, gstar, theta):
     assert clear.sum() >= 420
     for y in grid[clear].tolist():
         assert len(find_images(y, model)) == _quartic_image_count(y, model), y
+
+
+def test_roots_many_is_np_roots_bit_for_bit():
+    # complex polynomials of degree 0-4, some with exact zeros at either end or
+    # inside, a constant and all-zero lists: the same roots, in the same order
+    rng = np.random.default_rng(5)
+    polys = [[], [0j], [0j, 0j, 0j], [2.5 - 1j], [0j, 3j, 0j, 0j]]
+    for _ in range(400):
+        d = rng.integers(1, 6)
+        p = (rng.normal(size=d) + 1j * rng.normal(size=d)).tolist()
+        if rng.random() < 0.2:
+            p[rng.integers(len(p))] = 0j
+        polys.append([0j] * rng.integers(3) + p + [0j] * rng.integers(3))
+    assert _roots_many(polys) == [np.roots(p).tolist() for p in polys]
+
+
+_MANY_MODELS = [LensModel(m, kappa, gstar * abs(1.0 - kappa), theta)
+                for m, kappa, gstar, theta in ((-1.0, 0.4, 0.5, 0.7), (-1.0, 1.5, 0.25, 1.1),
+                                               (-0.7, 0.85, 1.8, 2.0), (-1.3, 0.2, 0.9, 2.9))]
+_MANY_MODELS += [LensModel(-1.0, 1.0), LensModel(-1.0, 1.0, 0.3), LensModel(0.0, 0.3, 0.2),
+                 LensModel(-1.0, 0.5, 0.5), LensModel(0.0, 0.5, 0.5)]  # the last two: u^2 = gamma^2
+
+
+@pytest.mark.parametrize("model", _MANY_MODELS)
+def test_find_images_many_matches_find_images(model):
+    # a 21 x 21 grid through the origin: positions, magnifications, residuals,
+    # parities and flags all equal, source by source
+    axis = np.linspace(-2.5, 2.5, 21)
+    ys = (axis[None, :] + 1j * axis[:, None]).ravel().tolist()
+    many = find_images_many(ys, model)
+    assert many == [find_images(y, model) for y in ys]
+    if model != LensModel(0.0, 0.5, 0.5):  # neither a mass nor z_lin: no images
+        assert any(many)
+
+
+def test_find_images_many_checks_every_source():
+    model = LensModel(-1.0, 0.4, 0.2)
+    with pytest.raises(ValidationError):
+        find_images_many([1.0, complex(math.nan, 0.0), 2.0j], model)
+    with pytest.raises(DomainError):
+        find_images_many([1.0, 6e5, 2.0j], model)
+    assert find_images_many([], model) == []
 
 
 def test_find_images_zero_mass_identity():
